@@ -8,6 +8,7 @@ Chinese-remainder recombination. No floating point anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 
 from .errors import InvalidInputError, InvalidModuliError, NotInvertibleError
 
@@ -50,10 +51,10 @@ def mod_inv(a: int, m: int) -> int:
     (carrying the gcd) when gcd(a, m) != 1."""
     if m < 2:
         raise InvalidInputError(f"modulus must be >= 2, got {m}")
-    g, s, _ = egcd(a % m, m)
-    if g != 1:
-        raise NotInvertibleError(a, m, g)
-    return s % m
+    try:
+        return pow(a, -1, m)
+    except ValueError:
+        raise NotInvertibleError(a, m, gcd(a, m)) from None
 
 
 def mod_pow(x: int, e: int, m: int) -> int:

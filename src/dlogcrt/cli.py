@@ -133,23 +133,56 @@ def _rand_below(rng: random.Random, n: int) -> int:
             return x
 
 
+Group = tuple[SafePrimeParams, int]
+
+# Most q values one experiment run remembers. Past it, groups of new q
+# values are derived on every draw and not stored, so a run's memory does
+# not grow with --count or with the width of the q range.
+GROUP_CACHE_LIMIT = 4096
+
+
+def _group(q: int) -> Group | None:
+    """Parameters over p = 2q + 1 and their smallest primitive root, or None
+    when q is not a usable subgroup prime."""
+    if not is_prime(q) or not is_prime(2 * q + 1):
+        return None
+    params = SafePrimeParams(2 * q + 1, q)
+    base = primitive_root(params.p, Factorization(((2, 1), (q, 1))))
+    if gcd(base, q) != 1:
+        return None
+    return params, base
+
+
 def sample_instance(
-    rng: random.Random, qmin: int, qmax: int, max_draws: int = 100_000
+    rng: random.Random,
+    qmin: int,
+    qmax: int,
+    max_draws: int = 100_000,
+    groups: dict[int, Group | None] | None = None,
 ) -> DlogInstance:
     """Draw one verifiable instance: q prime in [qmin, qmax] with 2q + 1
     prime, the smallest primitive root as base, n uniform in [0, p - 2],
     and target = base**n mod p. Draws whose base or target shares a factor
-    with q are skipped, mirroring the coprimality hypotheses."""
+    with q are skipped, mirroring the coprimality hypotheses.
+
+    groups maps each q seen so far to its group (None when rejected); pass
+    the same dict across calls to derive each group once. Caching does not
+    change how rng is consumed, so the draws are the same either way."""
     if not 3 <= qmin <= qmax:
         raise SearchExhaustedError(f"bad subgroup prime range [{qmin}, {qmax}]")
+    if groups is None:
+        groups = {}
     for _ in range(max_draws):
         q = qmin + _rand_below(rng, qmax - qmin + 1)
-        if not is_prime(q) or not is_prime(2 * q + 1):
+        if q in groups:
+            group = groups[q]
+        else:
+            group = _group(q)
+            if len(groups) < GROUP_CACHE_LIMIT:
+                groups[q] = group
+        if group is None:
             continue
-        params = SafePrimeParams(2 * q + 1, q)
-        base = primitive_root(params.p, Factorization(((2, 1), (q, 1))))
-        if gcd(base, q) != 1:
-            continue
+        params, base = group
         n = _rand_below(rng, params.p - 1)
         target = pow(base, n, params.p)
         if gcd(target, q) != 1:
@@ -165,8 +198,9 @@ def run_experiment(
 ) -> Iterator[tuple[int, dict]]:
     """Yield (id, record) pairs, deterministically in (count, range, seed)."""
     rng = random.Random(seed)
+    groups: dict[int, Group | None] = {}
     for i in range(count):
-        instance = sample_instance(rng, qmin, qmax)
+        instance = sample_instance(rng, qmin, qmax, groups=groups)
         record = report_document(verify_instance(instance))
         record["id"] = _s(i)
         yield i, record
@@ -250,6 +284,14 @@ def _explain_lines(report: VerificationReport) -> list[str]:
     return lines
 
 
+def nonnegative(text: str) -> int:
+    """argparse type: an int >= 0 (named for argparse's error message)."""
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="dlogcrt",
@@ -294,7 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
     rec.add_argument("--X", type=int, required=True, dest="power")
 
     exp = sub.add_parser("experiment", help="seeded batch verification runs")
-    exp.add_argument("--count", type=int, required=True)
+    exp.add_argument("--count", type=nonnegative, required=True)
     exp.add_argument("--qmin", type=int, default=5)
     exp.add_argument("--qmax", type=int, default=499)
     exp.add_argument("--seed", type=int, required=True)
@@ -369,10 +411,14 @@ def _run(args: argparse.Namespace) -> int:
         )
 
     elif args.command == "experiment":
-        records = []
+        rows = []
         lines = []
         for _, record in run_experiment(args.count, args.qmin, args.qmax, args.seed):
-            records.append(record)
+            if args.csv:
+                rows.append(
+                    [record[k] for k in ("id", "p", "q", "a0", "b0", "n")]
+                    + [str(record[k]).lower() for k in _FLAG_COLUMNS]
+                )
             lines.append(_json_line(record))
         if args.out:
             with open(args.out, "w") as fh:
@@ -384,11 +430,7 @@ def _run(args: argparse.Namespace) -> int:
             with open(args.csv, "w", newline="") as fh:
                 writer = csv.writer(fh)
                 writer.writerow(("id", "p", "q", "a0", "b0", "n") + _FLAG_COLUMNS)
-                for record in records:
-                    writer.writerow(
-                        [record[k] for k in ("id", "p", "q", "a0", "b0", "n")]
-                        + [str(record[k]).lower() for k in _FLAG_COLUMNS]
-                    )
+                writer.writerows(rows)
 
     elif args.command == "explain":
         n = args.n

@@ -42,6 +42,8 @@ def is_prime(n: int) -> bool:
     for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
+    if n < 41 * 41:  # a composite this small has a prime factor <= 37
+        return True
     d, r = n - 1, 0
     while d % 2 == 0:
         d //= 2
@@ -167,7 +169,8 @@ class SafePrimeParams:
         object.__setattr__(self, "m2", m1 * m1)
         object.__setattr__(self, "m3", m1 * m1 * m1)
         object.__setattr__(self, "exponent", m1 * (self.q - 1))
-        lam = carmichael_lambda(Factorization(((self.q, 2), (self.p, 2))))
+        # lambda(q**2 * p**2) = lcm(phi(q**2), phi(p**2)) for odd primes q, p
+        lam = lcm(self.q * (self.q - 1), self.p * (self.p - 1))
         if lam != self.exponent:
             raise InvalidInputError(
                 f"exponent {self.exponent} != lambda(m2) = {lam}"

@@ -9,7 +9,7 @@ from dataclasses import dataclass
 from math import gcd
 
 from .errors import InvalidInstanceError, NoSolutionError, PreconditionError
-from .lift import Lemma2Report, carry_beta_pq, check_lemma1, check_lemma2
+from .lift import Lemma2Report, check_lemma1, check_lemma2
 from .numtheory import SafePrimeParams
 from .oracle import CyclicContext, dlog_bsgs
 from .quotients import LiftProfile, lift_profile
@@ -121,17 +121,23 @@ def master_coefficients(
     return c, prof_b.digit
 
 
+def _master_system(params: SafePrimeParams, c: int, d: int) -> CongruenceSystem:
+    """beta + c*n = d (mod pq) with its reductions mod p and mod q."""
+    master = LinearCongruence(1, c, d, params.m1)
+    return CongruenceSystem(
+        master=master,
+        parts=(master.reduced(params.p), master.reduced(params.q)),
+    )
+
+
 def transform(instance: DlogInstance) -> CongruenceSystem:
     """Reduce the instance to beta + c*n = d (mod pq) plus its reductions
     mod p and mod q. The carry beta of base**(n*(q-1)) above the target's
     (q-1)-th power residue, paired with the true index n, satisfies every
     equation of the system."""
     params = instance.params
-    c, d = master_coefficients(params, instance.base, instance.target)
-    master = LinearCongruence(1, c, d, params.m1)
-    return CongruenceSystem(
-        master=master,
-        parts=(master.reduced(params.p), master.reduced(params.q)),
+    return _master_system(
+        params, *master_coefficients(params, instance.base, instance.target)
     )
 
 
@@ -156,16 +162,23 @@ def candidates_mod_group_order(n_q: int, params: SafePrimeParams) -> tuple[int, 
     return (n_q % order, (n_q % order + params.q) % order)
 
 
+def _verified_candidate(instance: DlogInstance, candidates: tuple[int, int]) -> int:
+    """The candidate n with base**n = target (mod p)."""
+    p = instance.params.p
+    for candidate in candidates:
+        if pow(instance.base, candidate, p) == instance.target % p:
+            return candidate
+    raise NoSolutionError("no candidate verifies; instance invariants broken")
+
+
 def solve_small(instance: DlogInstance) -> int:
     """The index n mod p - 1, found by subgroup recovery mod q and direct
     verification of the two lifted candidates. Desk scale only: the
     subgroup step costs O(sqrt(q)) group operations."""
     n_q = subgroup_index_mod_q(instance)
-    p = instance.params.p
-    for candidate in candidates_mod_group_order(n_q, instance.params):
-        if pow(instance.base, candidate, p) == instance.target % p:
-            return candidate
-    raise NoSolutionError("no candidate verifies; instance invariants broken")
+    return _verified_candidate(
+        instance, candidates_mod_group_order(n_q, instance.params)
+    )
 
 
 @dataclass(frozen=True)
@@ -204,7 +217,9 @@ class VerificationReport:
 
 def verify_instance(instance: DlogInstance) -> VerificationReport:
     """Run every check on an instance with known index and collect the
-    evidence into one report."""
+    evidence into one report. Each derived value is computed once: the lift
+    profiles, beta, c and d come from the lemma-2 check, and the subgroup
+    discrete log runs once for both the candidates and the recovery."""
     if instance.known_index is None:
         raise PreconditionError("verification requires a known index")
     params, a0, b0 = instance.params, instance.base, instance.target
@@ -212,14 +227,14 @@ def verify_instance(instance: DlogInstance) -> VerificationReport:
 
     lemma1_ok = check_lemma1(params, a0, b0, n)
     lemma2 = check_lemma2(params, a0, b0, n)
-    beta = carry_beta_pq(params, a0, b0, n).beta
-    system = transform(instance)
+    beta = lemma2.beta
+    system = _master_system(params, lemma2.index_coeff, lemma2.constant)
     master_ok = system.master.satisfied_by(beta, n)
     parts_ok = all(part.satisfied_by(beta, n) for part in system.parts)
 
     n_q = subgroup_index_mod_q(instance)
     candidates = candidates_mod_group_order(n_q, params)
-    recovered = solve_small(instance)
+    recovered = _verified_candidate(instance, candidates)
     recovered_ok = recovered == n % params.group_order
 
     return VerificationReport(

@@ -1,10 +1,18 @@
 import csv
+import hashlib
 import json
+import random
 
 import pytest
 
 from dlogcrt import verify_instance
-from dlogcrt.cli import main, record_instance, report_document
+from dlogcrt.cli import (
+    GROUP_CACHE_LIMIT,
+    main,
+    record_instance,
+    report_document,
+    sample_instance,
+)
 
 
 def run_cli(capsys, *argv):
@@ -129,6 +137,12 @@ class TestErrors:
             main(["no-such-command"])
         assert exc.value.code == 2
 
+    def test_negative_count_exits_2(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--count", "-3", "--seed", "1"])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
 
 class TestDeterminism:
     def test_identical_argv_identical_bytes(self, capsys):
@@ -142,6 +156,17 @@ class TestDeterminism:
         _, first = run_cli(capsys, *argv)
         _, second = run_cli(capsys, *argv)
         assert first == second
+
+    def test_experiment_golden_digest(self, capsys):
+        # deriving each group and each record value once changes no byte
+        code, out = run_cli(
+            capsys,
+            "experiment", "--count", "300", "--qmin", "5", "--qmax", "499", "--seed", "1",
+        )
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "36f8cbedbe6c35ca88efcf51b1c3d811eed1687bfd6fcb458c952f5870b9adc8"
+        )
 
 
 class TestExperiment:
@@ -184,3 +209,16 @@ class TestExperiment:
         )
         assert code == 1
         assert json.loads(out)["error"]["code"] == "search-exhausted"
+
+    def test_group_cache_is_bounded_and_changes_no_draw(self):
+        # a q range far wider than the cache: it fills, stops growing, and
+        # every draw matches a sampler that remembers nothing
+        qmin, qmax = 3, 10**7
+        cached_rng, fresh_rng = random.Random(8), random.Random(8)
+        groups = {}
+        for _ in range(60):
+            cached = sample_instance(cached_rng, qmin, qmax, groups=groups)
+            fresh = sample_instance(fresh_rng, qmin, qmax)
+            assert cached == fresh
+            assert len(groups) <= GROUP_CACHE_LIMIT
+        assert len(groups) == GROUP_CACHE_LIMIT

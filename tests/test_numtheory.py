@@ -22,8 +22,8 @@ from conftest import PRIMES_1000, sieve
 
 class TestIsPrime:
     def test_matches_sieve_exhaustively(self):
-        primes = set(sieve(10_000))
-        for n in range(10_000):
+        primes = set(sieve(100_000))
+        for n in range(100_000):
             assert is_prime(n) == (n in primes), n
 
     def test_worked_example_prime(self):

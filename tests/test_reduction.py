@@ -3,6 +3,8 @@ from math import gcd
 
 import pytest
 
+import dlogcrt
+from dlogcrt import lift, oracle, quotients, reduction
 from dlogcrt import (
     DlogInstance,
     LinearCongruence,
@@ -193,6 +195,26 @@ class TestVerifyInstance:
         for inst in random_instances(SAFE_QS[:6], 50, seed=5):
             report = verify_instance(inst)
             assert report.all_ok, (inst.params.p, inst.base, inst.target, inst.known_index)
+
+    def test_derives_profiles_and_subgroup_log_once(self, monkeypatch, params23):
+        calls = {"lift_profile": 0, "dlog_bsgs": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name, owner in (("lift_profile", quotients), ("dlog_bsgs", oracle)):
+            wrapped = counted(name, getattr(owner, name))
+            for module in (dlogcrt, quotients, oracle, lift, reduction):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapped)
+
+        report = verify_instance(DlogInstance(params23, 5, pow(5, 7, 23), known_index=7))
+        assert report.all_ok
+        assert calls == {"lift_profile": 2, "dlog_bsgs": 1}
 
 
 class TestSplitRecombine:

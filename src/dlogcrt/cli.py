@@ -20,7 +20,14 @@ from typing import Iterator
 
 from .errors import DlogCrtError, InvalidInputError, SearchExhaustedError
 from .lift import recover_index_mod_p2, teichmuller_digit
-from .numtheory import Factorization, SafePrimeParams, gen_safe_prime, is_prime, primitive_root
+from .numtheory import (
+    Factorization,
+    SafePrimeParams,
+    gen_safe_prime,
+    is_prime,
+    is_prime_2q_plus_1,
+    primitive_root,
+)
 from .quotients import lift_profile
 from .reduction import (
     CongruenceSystem,
@@ -144,7 +151,7 @@ GROUP_CACHE_LIMIT = 4096
 def _group(q: int) -> Group | None:
     """Parameters over p = 2q + 1 and their smallest primitive root, or None
     when q is not a usable subgroup prime."""
-    if not is_prime(q) or not is_prime(2 * q + 1):
+    if not is_prime(q) or not is_prime_2q_plus_1(q):
         return None
     params = SafePrimeParams(2 * q + 1, q)
     base = primitive_root(params.p, Factorization(((2, 1), (q, 1))))

@@ -23,7 +23,7 @@ from .errors import (
     ZeroDigitError,
 )
 from .numtheory import SafePrimeParams
-from .quotients import LiftProfile, _exact_quotient, _require_unit, lift_profile
+from .quotients import LiftProfile, _exact_quotient, _pow_m2, _require_unit, lift_profile
 
 
 @dataclass(frozen=True)
@@ -116,7 +116,7 @@ def carry_beta_pq(
     _require_unit(b0, params.m1, "b0")
     _check_power_premise(params, a0, b0, n)
     b_residue = pow(b0, params.q - 1, params.m1)
-    full = pow(a0, n * (params.q - 1), params.m2)
+    full = _pow_m2(params, a0, n * (params.q - 1))
     if full % params.m1 != b_residue:
         raise Lemma1ViolationError(
             f"a0**(n*(q-1)) = {full % params.m1} != {b_residue} (mod {params.m1})"
@@ -196,7 +196,8 @@ def check_lemma2(params: SafePrimeParams, a0: int, b0: int, n: int) -> Lemma2Rep
     constant = prof_b.digit
 
     lift_ok = (
-        pow(a_res + prof_a.digit * m1, n, m2) == (b_res + prof_b.digit * m1) % m2
+        _pow_m2(params, a_res + prof_a.digit * m1, n)
+        == (b_res + prof_b.digit * m1) % m2
     )
     linear_ok = (beta + n * coeff) % m1 == constant
     eq19_ok = (
@@ -205,7 +206,7 @@ def check_lemma2(params: SafePrimeParams, a0: int, b0: int, n: int) -> Lemma2Rep
     )
 
     literal_lift_ok = (
-        pow(a_res + prof_a.digit_literal * m1, n, m2)
+        _pow_m2(params, a_res + prof_a.digit_literal * m1, n)
         == (b_res + prof_b.digit_literal * m1) % m2
     )
     literal_coeff = b_res * mod_inv(a_res, m1) * prof_a.digit_literal % m1

@@ -59,6 +59,18 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def is_prime_2q_plus_1(q: int) -> bool:
+    """Whether p = 2q + 1 is prime, for q already proven an odd prime.
+
+    Pocklington's criterion with witness 2: p - 1 = 2q with q prime and
+    q > sqrt(p) - 1, so p is prime iff 2**(p-1) = 1 (mod p) and
+    gcd(2**2 - 1, p) = 1. This is a proof given q, at the cost of one
+    modular exponentiation.
+    """
+    p = 2 * q + 1
+    return p % 3 != 0 and pow(2, p - 1, p) == 1
+
+
 @dataclass(frozen=True)
 class Factorization:
     """Prime factorization as ((prime, exponent), ...) with primes strictly
@@ -145,7 +157,8 @@ class SafePrimeParams:
     """Validated safe-prime parameters p = 2q + 1 with the derived moduli.
 
     m1 = pq, m2 = (pq)**2, m3 = (pq)**3, and exponent = pq*(q-1), which is
-    the exponent of the unit group mod m2 (checked at construction).
+    the exponent of the unit group mod m2 (checked at construction). q is
+    checked by is_prime; p = 2q + 1 is then proven by is_prime_2q_plus_1.
     """
 
     p: int
@@ -160,9 +173,10 @@ class SafePrimeParams:
             raise InvalidInputError(f"q must be >= 3, got {self.q}")
         if not is_prime(self.q):
             raise InvalidInputError(f"q = {self.q} is not prime")
-        if not is_prime(self.p):
+        safe = self.p == 2 * self.q + 1
+        if not (is_prime_2q_plus_1(self.q) if safe else is_prime(self.p)):
             raise InvalidInputError(f"p = {self.p} is not prime")
-        if self.p != 2 * self.q + 1:
+        if not safe:
             raise InvalidInputError(f"p = {self.p} is not 2*{self.q} + 1")
         m1 = self.p * self.q
         object.__setattr__(self, "m1", m1)
@@ -194,11 +208,8 @@ def gen_safe_prime(bits: int, seed: int) -> SafePrimeParams:
             q = 3
         else:
             q = (1 << (bits - 2)) | rng.getrandbits(bits - 3) << 1 | 1
-        if not is_prime(q):
-            continue
-        p = 2 * q + 1
-        if is_prime(p):
-            return SafePrimeParams(p, q)
+        if is_prime(q) and is_prime_2q_plus_1(q):
+            return SafePrimeParams(2 * q + 1, q)
     raise SearchExhaustedError(
         f"no {bits}-bit safe prime found in {tries} candidates; retry with a new seed"
     )

@@ -6,9 +6,14 @@ The generalized quotient q(x) is defined by
     x**(pq*(q-1)) = 1 + q(x) * (pq)**2   (mod (pq)**3),
 
 which is well defined because pq*(q-1) is the exponent of the unit group
-mod (pq)**2. q(x) depends on x as an integer (equivalently on x mod (pq)**3),
-not on x mod pq: all operations here therefore take the base as an int,
-never as a pre-reduced residue mod pq.
+mod (pq)**2. q(x) depends on x mod (pq)**2, not on x mod pq: all operations
+here therefore take the base as an int, never as a pre-reduced residue mod pq.
+
+No power is taken mod (pq)**2 or (pq)**3. For q >= 3 the binomial theorem
+gives q(x) = -3*f_p(x) (mod p) and q(x) = f_q(x) (mod q), where
+f_r(x) = (x**(r-1) mod r**2 - 1)/r is the classical Fermat quotient, so
+every lift quantity of x comes from x**(q-1) mod p**2 and mod q**2, and a
+residue mod (pq)**2 is the CRT of its residues mod p**2 and q**2.
 """
 
 from __future__ import annotations
@@ -53,31 +58,69 @@ def _exact_quotient(numerator: int, divisor: int, context: str) -> int:
     return quot
 
 
+def _fermat(r: int, power: int) -> int:
+    """Fermat quotient (power - 1)/r mod r of power = x**(r-1) mod r**2."""
+    return _exact_quotient(power - 1, r, "Fermat quotient") % r
+
+
 def fermat_quotient(p: int, x: int) -> int:
     """Classical Fermat quotient ((x**(p-1) mod p**2) - 1) / p, canonical mod p."""
     _require_unit(x, p, "base")
-    return _exact_quotient(pow(x, p - 1, p * p) - 1, p, "Fermat quotient") % p
+    return _fermat(p, pow(x, p - 1, p * p))
+
+
+def _crt_m2(params: SafePrimeParams, r_p2: int, r_q2: int) -> int:
+    """The residue mod (pq)**2 that is r_p2 mod p**2 and r_q2 mod q**2.
+
+    p = 1 + 2q gives p**2 = 1 + 4q (mod q**2), whose inverse is 1 - 4q.
+    """
+    q2 = params.q * params.q
+    return r_p2 + params.p * params.p * ((r_q2 - r_p2) * (1 - 4 * params.q) % q2)
+
+
+def _pow_m2(params: SafePrimeParams, x: int, e: int) -> int:
+    """x**e mod (pq)**2, from the powers mod p**2 and mod q**2."""
+    return _crt_m2(
+        params, pow(x, e, params.p * params.p), pow(x, e, params.q * params.q)
+    )
+
+
+def _half_powers(params: SafePrimeParams, x: int) -> tuple[int, int]:
+    """x**(q-1) mod p**2 and mod q**2 for a unit x mod pq."""
+    _require_unit(x, params.m1, "base")
+    p, q = params.p, params.q
+    return pow(x, q - 1, p * p), pow(x, q - 1, q * q)
+
+
+def _quotient(params: SafePrimeParams, x: int, s_p: int, s_q: int) -> int:
+    """q(x) from s_p = x**(q-1) mod p**2 and s_q = x**(q-1) mod q**2: the CRT
+    of -3*f_p(x) mod p and f_q(x) mod q; x**(p-1) = s_p**2 * x**2 (mod p**2)."""
+    p, q = params.p, params.q
+    p2 = p * p
+    r_p = -3 * _fermat(p, s_p * s_p * pow(x, 2, p2) % p2) % p
+    return r_p + p * ((_fermat(q, s_q) - r_p) % q)  # p = 1 (mod q)
+
+
+def _digits(params: SafePrimeParams, s_p: int, s_q: int) -> tuple[int, int]:
+    """(A, k) from s_p = x**(q-1) mod p**2 and s_q = x**(q-1) mod q**2."""
+    carry, low = divmod(_crt_m2(params, s_p, s_q), params.m1)
+    return low, carry
 
 
 def lerch_quotient(params: SafePrimeParams, x: int) -> int:
     """Generalized quotient q(x) = ((x**exponent mod m3) - 1) / m2, mod m1.
 
-    The division is exact because the exponent is the exponent of the unit
-    group mod m2; a failure signals corrupted parameters.
+    Computed as the CRT of -3*f_p(x) mod p and f_q(x) mod q. The divisions
+    by p and q are exact for prime p and q; a failure signals corrupted
+    parameters.
     """
-    _require_unit(x, params.m1, "base")
-    power = pow(x, params.exponent, params.m3)
-    return _exact_quotient(power - 1, params.m2, "generalized quotient") % params.m1
+    return _quotient(params, x, *_half_powers(params, x))
 
 
 def base_power_digits(params: SafePrimeParams, x: int) -> tuple[int, int]:
     """First two base-pq digits of x**(q-1): (A, k) with
     x**(q-1) mod (pq)**2 = A + k*pq."""
-    _require_unit(x, params.m1, "base")
-    low = pow(x, params.q - 1, params.m1)
-    full = pow(x, params.q - 1, params.m2)
-    carry = _exact_quotient(full - low, params.m1, "base power carry")
-    return low, carry
+    return _digits(params, *_half_powers(params, x))
 
 
 def lift_profile(params: SafePrimeParams, x: int) -> LiftProfile:
@@ -87,8 +130,9 @@ def lift_profile(params: SafePrimeParams, x: int) -> LiftProfile:
     to mod (pq)**2; the literal digit -A*q(x) omits it and is wrong whenever
     k != 0 (both are recorded).
     """
-    power_residue, carry = base_power_digits(params, x)
-    quotient = lerch_quotient(params, x)
+    s_p, s_q = _half_powers(params, x)
+    power_residue, carry = _digits(params, s_p, s_q)
+    quotient = _quotient(params, x, s_p, s_q)
     digit = (carry - power_residue * quotient) % params.m1
     digit_literal = -power_residue * quotient % params.m1
     return LiftProfile(

@@ -22,7 +22,7 @@ from dlogcrt.errors import (
     ZeroDigitError,
 )
 
-from conftest import sieve
+from conftest import DIFFERENTIAL_GROUPS, sieve
 
 
 class TestTeichmullerDigit:
@@ -209,3 +209,39 @@ class TestCheckLemma2:
     def test_propagates_carry_errors(self, golden):
         with pytest.raises(Lemma1ViolationError):
             check_lemma2(golden, 2, 7, 2)
+
+
+@pytest.mark.parametrize(
+    "pq", DIFFERENTIAL_GROUPS, ids=lambda pq: f"{pq[0].bit_length()}bit-q{pq[1] % 10**6}"
+)
+def test_carry_and_lift_identities_match_the_definitions(pq):
+    """carry_beta_pq against pow(a0, n*(q-1), m2), and the lemma-2 lift
+    identity flags against the powers taken mod m2, for bases up to m3 and
+    targets that are not reduced mod p."""
+    params = SafePrimeParams(*pq)
+    p, q, m1, m2 = params.p, params.q, params.m1, params.m2
+    rng = random.Random(q)
+    cases = 0
+    while cases < (3 if p.bit_length() > 256 else 10):
+        a0 = rng.randrange(2, params.m3)
+        n = rng.randrange(0, 4 * p)
+        b0 = pow(a0, n, p) + p * rng.randrange(q)
+        if gcd(a0, m1) != 1 or gcd(b0, m1) != 1:
+            continue
+        cases += 1
+        full = pow(a0, n * (q - 1), m2)
+        b_res = pow(b0, q - 1, m1)
+        assert (full - b_res) % m1 == 0
+        beta = carry_beta_pq(params, a0, b0, n).beta
+        assert beta == (full - b_res) // m1, (p, a0, b0, n)
+
+        report = check_lemma2(params, a0, b0, n)
+        pa, pb = report.profile_a, report.profile_b
+        assert report.beta == beta
+        assert report.lift_identity_ok
+        for digit_a, digit_b, flag in (
+            (pa.digit, pb.digit, report.lift_identity_ok),
+            (pa.digit_literal, pb.digit_literal, report.literal_lift_identity_ok),
+        ):
+            lhs = pow(pa.power_residue + digit_a * m1, n, m2)
+            assert flag == (lhs == (pb.power_residue + digit_b * m1) % m2)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given
@@ -16,6 +17,7 @@ from dlogcrt import (
     primitive_root,
 )
 from dlogcrt.errors import DegenerateModulusError, InvalidInputError
+from dlogcrt.numtheory import is_prime_2q_plus_1
 
 from conftest import PRIMES_1000, sieve
 
@@ -128,6 +130,32 @@ class TestSafePrimeParams:
     def test_rejects_q_two(self):
         with pytest.raises(InvalidInputError):
             SafePrimeParams(5, 2)
+
+    def test_pocklington_rule_matches_sieve(self):
+        # for every prime q < 10**4: accepted iff 2q + 1 is prime
+        primes = set(sieve(2 * 10**4 + 2))
+        for q in sieve(10**4)[1:]:
+            p = 2 * q + 1
+            assert is_prime_2q_plus_1(q) == (p in primes), q
+            if p in primes:
+                assert SafePrimeParams(p, q).m1 == p * q
+            else:
+                with pytest.raises(InvalidInputError, match=f"^p = {p} is not prime$"):
+                    SafePrimeParams(p, q)
+
+    @pytest.mark.parametrize(
+        "p, q, message",
+        [
+            (35, 17, "p = 35 is not prime"),  # 35 % 3 != 0, caught by 2**34 mod 35
+            (15, 7, "p = 15 is not prime"),  # caught by 15 % 3 == 0
+            (15, 5, "p = 15 is not prime"),  # not 2q + 1: checked by is_prime
+            (13, 5, "p = 13 is not 2*5 + 1"),
+            (19, 9, "q = 9 is not prime"),
+        ],
+    )
+    def test_rejection_messages(self, p, q, message):
+        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+            SafePrimeParams(p, q)
 
 
 class TestGenSafePrime:

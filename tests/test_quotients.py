@@ -1,25 +1,30 @@
 import random
+from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dlogcrt import (
+    LiftProfile,
     SafePrimeParams,
     base_power_digits,
     fermat_quotient,
     lerch_quotient,
     lift_profile,
 )
-from dlogcrt.errors import NotAUnitError
+from dlogcrt.errors import ExactnessError, NotAUnitError
 
-from conftest import SAFE_QS
+from conftest import CRYPTO_GROUPS, DIFFERENTIAL_GROUPS, SAFE_QS
 
 PARAM_SETS = [SafePrimeParams(2 * q + 1, q) for q in SAFE_QS[:5]]
+P256 = SafePrimeParams(*CRYPTO_GROUPS[0])
 
 
-def _random_units(params, rng, count):
+def _random_units(params, rng, count, below=None):
     units = []
     while len(units) < count:
-        x = rng.randrange(2, params.m1)
+        x = rng.randrange(2, below or params.m1)
         if x % params.p and x % params.q:
             units.append(x)
     return units
@@ -98,6 +103,22 @@ class TestLerchQuotient:
         # two integers congruent mod pq generally have different quotients
         assert lerch_quotient(golden, 2) != lerch_quotient(golden, 2 + golden.m1)
 
+    def test_depends_only_on_residue_mod_m2(self):
+        rng = random.Random(19)
+        for params in PARAM_SETS + [P256]:
+            for x in _random_units(params, rng, 10):
+                for t in (1, 2, params.m1, rng.randrange(params.m3)):
+                    assert lerch_quotient(params, x) == lerch_quotient(
+                        params, x + t * params.m2
+                    ), (params.p, x, t)
+
+    def test_corrupted_parameters_raise_exactness_error(self):
+        # q = 9 is not prime, so 2**8 = 4 (mod 9) and the quotient is not exact
+        params = SafePrimeParams(23, 11)
+        object.__setattr__(params, "q", 9)
+        with pytest.raises(ExactnessError):
+            lerch_quotient(params, 2)
+
 
 class TestBasePowerDigits:
     def test_golden_values(self, golden):
@@ -147,3 +168,44 @@ class TestLiftProfile:
             for x in _random_units(params, rng, 20):
                 prof = lift_profile(params, x)
                 assert prof.digit == (prof.digit_literal + prof.carry) % params.m1
+
+
+def _profile_by_definition(params, x):
+    """Lift profile from the defining powers mod (pq)**2 and (pq)**3."""
+    power = pow(x, params.exponent, params.m3)
+    assert (power - 1) % params.m2 == 0
+    quotient = (power - 1) // params.m2 % params.m1
+    full = pow(x, params.q - 1, params.m2)
+    low = full % params.m1
+    carry = (full - low) // params.m1
+    return LiftProfile(
+        base=x,
+        power_residue=low,
+        carry=carry,
+        quotient=quotient,
+        digit=(carry - low * quotient) % params.m1,
+        digit_literal=-low * quotient % params.m1,
+    )
+
+
+@pytest.mark.parametrize(
+    "pq", DIFFERENTIAL_GROUPS, ids=lambda pq: f"{pq[0].bit_length()}bit-q{pq[1] % 10**6}"
+)
+def test_matches_the_definitions(pq):
+    """lerch_quotient, base_power_digits and lift_profile against
+    pow(x, exponent, m3) and pow(x, q - 1, m2), on bases up to m3."""
+    params = SafePrimeParams(*pq)
+    rng = random.Random(params.q)
+    count = 3 if params.p.bit_length() > 256 else 12
+    for x in [1, 2, params.m1 - 1] + _random_units(params, rng, count, params.m3):
+        want = _profile_by_definition(params, x)
+        assert lift_profile(params, x) == want, (params.p, x)
+        assert lerch_quotient(params, x) == want.quotient, (params.p, x)
+        assert base_power_digits(params, x) == (want.power_residue, want.carry)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(min_value=1, max_value=P256.m3))
+def test_matches_the_definitions_at_256_bits(x):
+    assume(gcd(x, P256.m1) == 1)
+    assert lift_profile(P256, x) == _profile_by_definition(P256, x)

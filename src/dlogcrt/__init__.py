@@ -2,18 +2,16 @@
 systems in two unknowns over coprime moduli, with the lift machinery,
 verification oracles, and a general multivariable-CRT solver behind it."""
 
-from .arith import Residue, crt_pair, egcd, mod_inv, mod_pow
+from .arith import crt_pair, egcd, mod_inv
 from .lift import (
     CompositeCarry,
     Lemma2Report,
-    PrimeSquaredLift,
     carry_beta_p2,
     carry_beta_pq,
     check_lemma1,
     check_lemma2,
     recover_index_mod_p2,
     teichmuller_digit,
-    teichmuller_lift,
 )
 from .mcrt import (
     LinearEquation,
@@ -34,13 +32,7 @@ from .numtheory import (
     primitive_root,
 )
 from .oracle import CyclicContext, dlog_bruteforce, dlog_bsgs
-from .quotients import (
-    LiftProfile,
-    base_power_digits,
-    fermat_quotient,
-    lerch_quotient,
-    lift_profile,
-)
+from .quotients import LiftProfile, fermat_quotient, lift_profile
 from .reduction import (
     CongruenceSystem,
     DlogInstance,
@@ -68,12 +60,9 @@ __all__ = [
     "LinearEquation",
     "LinearSystem",
     "ModularSolutions",
-    "PrimeSquaredLift",
-    "Residue",
     "SafePrimeParams",
     "SolutionSet",
     "VerificationReport",
-    "base_power_digits",
     "candidates_mod_group_order",
     "carmichael_lambda",
     "carry_beta_p2",
@@ -89,11 +78,9 @@ __all__ = [
     "fermat_quotient",
     "gen_safe_prime",
     "is_prime",
-    "lerch_quotient",
     "lift_profile",
     "master_coefficients",
     "mod_inv",
-    "mod_pow",
     "primitive_root",
     "recover_index_mod_p2",
     "solve_single",
@@ -101,7 +88,6 @@ __all__ = [
     "solve_system",
     "subgroup_index_mod_q",
     "teichmuller_digit",
-    "teichmuller_lift",
     "transform",
     "verify_instance",
 ]

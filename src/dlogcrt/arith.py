@@ -1,32 +1,14 @@
 """Exact modular arithmetic on arbitrary-precision integers.
 
-Residues are plain ints canonicalized to [0, m); a value only travels
-together with its modulus (as a Residue) where the pairing matters, e.g.
-Chinese-remainder recombination. No floating point anywhere.
+Results are plain ints canonicalized to [0, m); powers use the builtin
+pow. No floating point anywhere.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd
 
 from .errors import InvalidInputError, InvalidModuliError, NotInvertibleError
-
-
-@dataclass(frozen=True)
-class Residue:
-    """A canonical residue: 0 <= value < modulus, modulus >= 2."""
-
-    value: int
-    modulus: int
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise InvalidInputError(f"modulus must be >= 2, got {self.modulus}")
-        if not 0 <= self.value < self.modulus:
-            raise InvalidInputError(
-                f"residue {self.value} not canonical mod {self.modulus}"
-            )
 
 
 def egcd(a: int, b: int) -> tuple[int, int, int]:
@@ -57,21 +39,12 @@ def mod_inv(a: int, m: int) -> int:
         raise NotInvertibleError(a, m, gcd(a, m)) from None
 
 
-def mod_pow(x: int, e: int, m: int) -> int:
-    """x**e mod m by square-and-multiply (e = 0 gives 1 mod m)."""
-    if m < 2:
-        raise InvalidInputError(f"modulus must be >= 2, got {m}")
-    if e < 0:
-        raise InvalidInputError("exponent must be nonnegative")
-    return pow(x % m, e, m)
-
-
-def crt_pair(r1: Residue, r2: Residue) -> Residue:
-    """Combine residues over coprime moduli into the unique residue mod m1*m2."""
-    m1, m2 = r1.modulus, r2.modulus
+def crt_pair(r1: int, m1: int, r2: int, m2: int) -> int:
+    """The unique residue mod m1*m2 that is r1 mod m1 and r2 mod m2, for
+    coprime moduli."""
     g, s, _ = egcd(m1, m2)
     if g != 1:
         raise InvalidModuliError(f"moduli {m1} and {m2} share factor {g}")
     # x = r1 + m1 * k where k solves m1*k = r2 - r1 (mod m2)
-    k = (r2.value - r1.value) * s % m2
-    return Residue((r1.value + m1 * k) % (m1 * m2), m1 * m2)
+    k = (r2 - r1) * s % m2
+    return (r1 + m1 * k) % (m1 * m2)

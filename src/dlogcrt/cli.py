@@ -15,6 +15,7 @@ import csv
 import json
 import random
 import sys
+from contextlib import ExitStack
 from math import gcd
 from typing import Iterator
 
@@ -34,6 +35,7 @@ from .reduction import (
     DlogInstance,
     LinearCongruence,
     VerificationReport,
+    _verify,
     solve_small,
     transform,
     verify_instance,
@@ -48,27 +50,23 @@ _FLAG_COLUMNS = (
 )
 
 
-def _s(n: int) -> str:
-    return str(n)
-
-
 def params_document(params: SafePrimeParams) -> dict:
     return {
-        "p": _s(params.p),
-        "q": _s(params.q),
-        "m1": _s(params.m1),
-        "m2": _s(params.m2),
-        "m3": _s(params.m3),
-        "exponent": _s(params.exponent),
+        "p": str(params.p),
+        "q": str(params.q),
+        "m1": str(params.m1),
+        "m2": str(params.m2),
+        "m3": str(params.m3),
+        "exponent": str(params.exponent),
     }
 
 
 def congruence_document(c: LinearCongruence) -> dict:
     return {
-        "u": _s(c.beta_coeff),
-        "v": _s(c.index_coeff),
-        "w": _s(c.constant),
-        "m": _s(c.modulus),
+        "u": str(c.beta_coeff),
+        "v": str(c.index_coeff),
+        "w": str(c.constant),
+        "m": str(c.modulus),
     }
 
 
@@ -85,27 +83,27 @@ def report_document(report: VerificationReport) -> dict:
     inst = report.instance
     prof_a, prof_b = report.profile_a, report.profile_b
     return {
-        "p": _s(inst.params.p),
-        "q": _s(inst.params.q),
-        "a0": _s(inst.base),
-        "b0": _s(inst.target),
-        "n": _s(inst.known_index),
-        "A": _s(prof_a.power_residue),
-        "B": _s(prof_b.power_residue),
-        "k_a": _s(prof_a.carry),
-        "k_b": _s(prof_b.carry),
-        "q_a0": _s(prof_a.quotient),
-        "q_b0": _s(prof_b.quotient),
-        "a1": _s(prof_a.digit),
-        "b1": _s(prof_b.digit),
-        "a1_literal": _s(prof_a.digit_literal),
-        "b1_literal": _s(prof_b.digit_literal),
-        "beta": _s(report.beta),
-        "c": _s(report.system.master.index_coeff),
-        "d": _s(report.system.master.constant),
-        "n_mod_q": _s(report.subgroup_index),
-        "candidates": [_s(c) for c in report.candidates],
-        "recovered_n": _s(report.recovered_index),
+        "p": str(inst.params.p),
+        "q": str(inst.params.q),
+        "a0": str(inst.base),
+        "b0": str(inst.target),
+        "n": str(inst.known_index),
+        "A": str(prof_a.power_residue),
+        "B": str(prof_b.power_residue),
+        "k_a": str(prof_a.carry),
+        "k_b": str(prof_b.carry),
+        "q_a0": str(prof_a.quotient),
+        "q_b0": str(prof_b.quotient),
+        "a1": str(prof_a.digit),
+        "b1": str(prof_b.digit),
+        "a1_literal": str(prof_a.digit_literal),
+        "b1_literal": str(prof_b.digit_literal),
+        "beta": str(report.beta),
+        "c": str(report.system.master.index_coeff),
+        "d": str(report.system.master.constant),
+        "n_mod_q": str(report.subgroup_index),
+        "candidates": [str(c) for c in report.candidates],
+        "recovered_n": str(report.recovered_index),
         "lemma1_ok": report.lemma1_ok,
         "lemma2_corrected_ok": report.lemma2.lift_identity_ok
         and report.lemma2.linear_congruence_ok,
@@ -209,7 +207,7 @@ def run_experiment(
     for i in range(count):
         instance = sample_instance(rng, qmin, qmax, groups=groups)
         record = report_document(verify_instance(instance))
-        record["id"] = _s(i)
+        record["id"] = str(i)
         yield i, record
 
 
@@ -376,14 +374,14 @@ def _run(args: argparse.Namespace) -> int:
         prof = lift_profile(params, args.x)
         _print_json(
             {
-                "p": _s(params.p),
-                "q": _s(params.q),
-                "x": _s(args.x),
-                "A": _s(prof.power_residue),
-                "k": _s(prof.carry),
-                "q_x": _s(prof.quotient),
-                "digit": _s(prof.digit),
-                "digit_literal": _s(prof.digit_literal),
+                "p": str(params.p),
+                "q": str(params.q),
+                "x": str(args.x),
+                "A": str(prof.power_residue),
+                "k": str(prof.carry),
+                "q_x": str(prof.quotient),
+                "digit": str(prof.digit),
+                "digit_literal": str(prof.digit_literal),
             }
         )
 
@@ -391,7 +389,7 @@ def _run(args: argparse.Namespace) -> int:
         instance = _instance(args, None)
         doc = system_document(transform(instance))
         doc.update(
-            p=_s(args.p), q=_s(args.q), a0=_s(args.a0), b0=_s(args.b0)
+            p=str(args.p), q=str(args.q), a0=str(args.a0), b0=str(args.b0)
         )
         _print_json(doc)
 
@@ -399,7 +397,7 @@ def _run(args: argparse.Namespace) -> int:
         _print_json(report_document(verify_instance(_instance(args, args.n))))
 
     elif args.command == "solve":
-        _print_json({"n": _s(solve_small(_instance(args, None)))})
+        _print_json({"n": str(solve_small(_instance(args, None)))})
 
     elif args.command == "recover-p2":
         if not is_prime(args.p):
@@ -409,42 +407,36 @@ def _run(args: argparse.Namespace) -> int:
         b0 = power % p
         _print_json(
             {
-                "n": _s(recover_index_mod_p2(p, args.a0, power)),
-                "b0": _s(b0),
-                "beta": _s((power - b0) // p),
-                "a1": _s(teichmuller_digit(p, args.a0 % p)),
-                "b1": _s(teichmuller_digit(p, b0)),
+                "n": str(recover_index_mod_p2(p, args.a0, power)),
+                "b0": str(b0),
+                "beta": str((power - b0) // p),
+                "a1": str(teichmuller_digit(p, args.a0 % p)),
+                "b1": str(teichmuller_digit(p, b0)),
             }
         )
 
     elif args.command == "experiment":
-        rows = []
-        lines = []
-        for _, record in run_experiment(args.count, args.qmin, args.qmax, args.seed):
+        with ExitStack() as files:
+            out, table = sys.stdout, None
+            try:
+                if args.out:
+                    out = files.enter_context(open(args.out, "w"))
+                if args.csv:
+                    table = csv.writer(files.enter_context(open(args.csv, "w", newline="")))
+            except OSError as exc:
+                build_parser().error(f"cannot open {exc.filename}: {exc.strerror}")
             if args.csv:
-                rows.append(
-                    [record[k] for k in ("id", "p", "q", "a0", "b0", "n")]
-                    + [str(record[k]).lower() for k in _FLAG_COLUMNS]
-                )
-            lines.append(_json_line(record))
-        if args.out:
-            with open(args.out, "w") as fh:
-                fh.write("\n".join(lines) + ("\n" if lines else ""))
-        else:
-            for line in lines:
-                print(line)
-        if args.csv:
-            with open(args.csv, "w", newline="") as fh:
-                writer = csv.writer(fh)
-                writer.writerow(("id", "p", "q", "a0", "b0", "n") + _FLAG_COLUMNS)
-                writer.writerows(rows)
+                table.writerow(("id", "p", "q", "a0", "b0", "n") + _FLAG_COLUMNS)
+            for _, record in run_experiment(args.count, args.qmin, args.qmax, args.seed):
+                print(_json_line(record), file=out)
+                if args.csv:
+                    table.writerow(
+                        [record[k] for k in ("id", "p", "q", "a0", "b0", "n")]
+                        + [str(record[k]).lower() for k in _FLAG_COLUMNS]
+                    )
 
     elif args.command == "explain":
-        n = args.n
-        if n is None:
-            n = solve_small(_instance(args, None))
-        report = verify_instance(_instance(args, n))
-        print("\n".join(_explain_lines(report)))
+        print("\n".join(_explain_lines(_verify(_instance(args, args.n)))))
 
     return 0
 

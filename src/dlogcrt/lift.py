@@ -27,22 +27,6 @@ from .quotients import LiftProfile, _exact_quotient, _pow_m2, _require_unit, lif
 
 
 @dataclass(frozen=True)
-class PrimeSquaredLift:
-    """Truncated Teichmuller expansion base + digit*p of a unit base < p.
-
-    The lifted point is a fixed point of X -> X**p mod p**2.
-    """
-
-    prime: int
-    base: int
-    digit: int
-
-    @property
-    def lifted(self) -> int:
-        return self.base + self.digit * self.prime
-
-
-@dataclass(frozen=True)
 class CompositeCarry:
     """Carry beta of a0**(n*(q-1)) mod (pq)**2 above B = b0**(q-1) mod pq."""
 
@@ -50,16 +34,12 @@ class CompositeCarry:
 
 
 def teichmuller_digit(p: int, x: int) -> int:
-    """First lift digit x1 = ((x**p mod p**2) - x) / p for a unit x < p."""
+    """First lift digit x1 = ((x**p mod p**2) - x) / p for a unit x < p; the
+    lift x + x1*p is the fixed point of X -> X**p mod p**2 above x."""
     if not 0 <= x < p:
         raise PreconditionError(f"base {x} must be canonical mod {p}")
     _require_unit(x, p, "base")
     return _exact_quotient(pow(x, p, p * p) - x, p, "Teichmuller digit")
-
-
-def teichmuller_lift(p: int, x: int) -> PrimeSquaredLift:
-    """Lift of x to the fixed point of X -> X**p mod p**2 above x."""
-    return PrimeSquaredLift(prime=p, base=x, digit=teichmuller_digit(p, x))
 
 
 def carry_beta_p2(p: int, b0: int, power: int) -> int:
@@ -150,9 +130,6 @@ class Lemma2Report:
     visible whenever the carries do not vanish.
     """
 
-    a0: int
-    b0: int
-    n: int
     profile_a: LiftProfile
     profile_b: LiftProfile
     beta: int
@@ -213,9 +190,6 @@ def check_lemma2(params: SafePrimeParams, a0: int, b0: int, n: int) -> Lemma2Rep
     literal_linear_ok = (beta + n * literal_coeff) % m1 == prof_b.digit_literal
 
     return Lemma2Report(
-        a0=a0,
-        b0=b0,
-        n=n,
         profile_a=prof_a,
         profile_b=prof_b,
         beta=beta,

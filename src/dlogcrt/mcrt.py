@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd, prod
 
-from .arith import Residue, crt_pair, egcd, mod_inv
+from .arith import crt_pair, egcd, mod_inv
 from .errors import InvalidSystemError, TooManySolutionsError
 
 Point = tuple[int, ...]
@@ -199,10 +199,11 @@ class SolutionSet:
         for combo in itertools.product(*per_part):
             point = []
             for i in range(self.system.unknowns):
-                acc = Residue(combo[0][i], moduli[0])
+                acc, modulus = combo[0][i], moduli[0]
                 for rest, m in zip(combo[1:], moduli[1:]):
-                    acc = crt_pair(acc, Residue(rest[i], m))
-                point.append(acc.value)
+                    acc = crt_pair(acc, modulus, rest[i], m)
+                    modulus *= m
+                point.append(acc)
             point = tuple(point)
             if not self.contains(point):
                 raise AssertionError(f"recombined point {point} fails the system")

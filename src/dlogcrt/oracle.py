@@ -11,6 +11,9 @@ from .errors import InvalidInputError, OrderTooLargeError
 from .numtheory import Factorization
 
 _BRUTEFORCE_LIMIT = 10**7
+# Largest order dlog_bsgs accepts: its baby-step table holds ceil(sqrt(order))
+# entries, 2**24 at this bound, which still admits every p up to 48 bits.
+_BSGS_LIMIT = 2**48
 
 
 @dataclass(frozen=True)
@@ -66,7 +69,11 @@ def dlog_bruteforce(ctx: CyclicContext, h: int) -> int | None:
 def dlog_bsgs(ctx: CyclicContext, h: int) -> int | None:
     """Baby-step giant-step: smallest n in [0, order) with g**n = h (mod m),
     or None if h is outside the subgroup. O(sqrt(order)) group operations;
-    the table is local to the query."""
+    the table is local to the query. Guarded to orders up to 2**48."""
+    if ctx.order > _BSGS_LIMIT:
+        raise OrderTooLargeError(
+            f"order {ctx.order} exceeds baby-step giant-step limit {_BSGS_LIMIT}"
+        )
     g, m, order = ctx.generator, ctx.modulus, ctx.order
     h = h % m
     step = isqrt(order)

@@ -85,56 +85,26 @@ def _pow_m2(params: SafePrimeParams, x: int, e: int) -> int:
     )
 
 
-def _half_powers(params: SafePrimeParams, x: int) -> tuple[int, int]:
-    """x**(q-1) mod p**2 and mod q**2 for a unit x mod pq."""
-    _require_unit(x, params.m1, "base")
-    p, q = params.p, params.q
-    return pow(x, q - 1, p * p), pow(x, q - 1, q * q)
-
-
-def _quotient(params: SafePrimeParams, x: int, s_p: int, s_q: int) -> int:
-    """q(x) from s_p = x**(q-1) mod p**2 and s_q = x**(q-1) mod q**2: the CRT
-    of -3*f_p(x) mod p and f_q(x) mod q; x**(p-1) = s_p**2 * x**2 (mod p**2)."""
-    p, q = params.p, params.q
-    p2 = p * p
-    r_p = -3 * _fermat(p, s_p * s_p * pow(x, 2, p2) % p2) % p
-    return r_p + p * ((_fermat(q, s_q) - r_p) % q)  # p = 1 (mod q)
-
-
-def _digits(params: SafePrimeParams, s_p: int, s_q: int) -> tuple[int, int]:
-    """(A, k) from s_p = x**(q-1) mod p**2 and s_q = x**(q-1) mod q**2."""
-    carry, low = divmod(_crt_m2(params, s_p, s_q), params.m1)
-    return low, carry
-
-
-def lerch_quotient(params: SafePrimeParams, x: int) -> int:
-    """Generalized quotient q(x) = ((x**exponent mod m3) - 1) / m2, mod m1.
-
-    Computed as the CRT of -3*f_p(x) mod p and f_q(x) mod q. The divisions
-    by p and q are exact for prime p and q; a failure signals corrupted
-    parameters.
-    """
-    return _quotient(params, x, *_half_powers(params, x))
-
-
-def base_power_digits(params: SafePrimeParams, x: int) -> tuple[int, int]:
-    """First two base-pq digits of x**(q-1): (A, k) with
-    x**(q-1) mod (pq)**2 = A + k*pq."""
-    return _digits(params, *_half_powers(params, x))
-
-
 def lift_profile(params: SafePrimeParams, x: int) -> LiftProfile:
-    """Assemble the full lift profile of a base.
+    """Assemble the full lift profile of a base from s_p = x**(q-1) mod p**2
+    and s_q = x**(q-1) mod q**2. Their CRT is x**(q-1) mod (pq)**2 = A + k*pq;
+    q(x) is the CRT of -3*f_p(x) mod p and f_q(x) mod q. The divisions by p
+    and q are exact for prime p and q; a failure signals corrupted parameters.
 
     The corrected digit includes the integer carry k of x**(q-1) from mod pq
     to mod (pq)**2; the literal digit -A*q(x) omits it and is wrong whenever
     k != 0 (both are recorded).
     """
-    s_p, s_q = _half_powers(params, x)
-    power_residue, carry = _digits(params, s_p, s_q)
-    quotient = _quotient(params, x, s_p, s_q)
-    digit = (carry - power_residue * quotient) % params.m1
-    digit_literal = -power_residue * quotient % params.m1
+    _require_unit(x, params.m1, "base")
+    p, q, m1 = params.p, params.q, params.m1
+    p2 = p * p
+    s_p, s_q = pow(x, q - 1, p2), pow(x, q - 1, q * q)
+    carry, power_residue = divmod(_crt_m2(params, s_p, s_q), m1)
+    # x**(p-1) = s_p**2 * x**2 (mod p**2), and p = 1 (mod q)
+    r_p = -3 * _fermat(p, s_p * s_p * pow(x, 2, p2) % p2) % p
+    quotient = r_p + p * ((_fermat(q, s_q) - r_p) % q)
+    digit = (carry - power_residue * quotient) % m1
+    digit_literal = -power_residue * quotient % m1
     return LiftProfile(
         base=x,
         power_residue=power_residue,

@@ -5,7 +5,7 @@ end-to-end solver built on it."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from math import gcd
 
 from .errors import InvalidInstanceError, NoSolutionError, PreconditionError
@@ -222,8 +222,19 @@ def verify_instance(instance: DlogInstance) -> VerificationReport:
     discrete log runs once for both the candidates and the recovery."""
     if instance.known_index is None:
         raise PreconditionError("verification requires a known index")
-    params, a0, b0 = instance.params, instance.base, instance.target
-    n = instance.known_index
+    return _verify(instance)
+
+
+def _verify(instance: DlogInstance) -> VerificationReport:
+    """verify_instance; an instance without a known index first gets the
+    index solve_small would return, from the same subgroup discrete log."""
+    params = instance.params
+    n_q = subgroup_index_mod_q(instance)
+    candidates = candidates_mod_group_order(n_q, params)
+    recovered = _verified_candidate(instance, candidates)
+    if instance.known_index is None:
+        instance = replace(instance, known_index=recovered)
+    a0, b0, n = instance.base, instance.target, instance.known_index
 
     lemma1_ok = check_lemma1(params, a0, b0, n)
     lemma2 = check_lemma2(params, a0, b0, n)
@@ -231,10 +242,6 @@ def verify_instance(instance: DlogInstance) -> VerificationReport:
     system = _master_system(params, lemma2.index_coeff, lemma2.constant)
     master_ok = system.master.satisfied_by(beta, n)
     parts_ok = all(part.satisfied_by(beta, n) for part in system.parts)
-
-    n_q = subgroup_index_mod_q(instance)
-    candidates = candidates_mod_group_order(n_q, params)
-    recovered = _verified_candidate(instance, candidates)
     recovered_ok = recovered == n % params.group_order
 
     return VerificationReport(

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from dlogcrt import Residue, crt_pair, egcd, mod_inv, mod_pow
+from dlogcrt import crt_pair, egcd, mod_inv
 from dlogcrt.errors import InvalidInputError, InvalidModuliError, NotInvertibleError
 
 
@@ -62,70 +62,23 @@ class TestModInv:
         assert a * x % m == 1
 
 
-def _naive_pow(x: int, e: int, m: int) -> int:
-    r = 1 % m
-    x %= m
-    for _ in range(e):
-        r = r * x % m
-    return r
-
-
-class TestModPow:
-    def test_unit_group_exponent_power(self):
-        assert mod_pow(2, 220, 166375) == 54451
-        # sanity tie-in with the generalized quotient of 2 for p=11, q=5
-        assert (54451 - 1) // 3025 == 18
-
-    def test_zero_exponent(self):
-        assert mod_pow(2, 0, 97) == 1
-
-    def test_small_power(self):
-        assert mod_pow(2, 8, 3025) == 256
-
-    def test_rejects_negative_exponent(self):
-        with pytest.raises(InvalidInputError):
-            mod_pow(2, -1, 7)
-
-    @settings(max_examples=50, deadline=None)
-    @given(
-        st.integers(0, 2**64),
-        st.integers(0, 2**16),
-        st.integers(2, 2**40),
-    )
-    def test_matches_repeated_multiplication(self, x, e, m):
-        assert mod_pow(x, e, m) == _naive_pow(x, e, m)
-
-
 class TestCrtPair:
     def test_golden_split_constant(self):
-        combined = crt_pair(Residue(6, 11), Residue(3, 5))
-        assert combined == Residue(28, 55)
+        assert crt_pair(6, 11, 3, 5) == 28
 
     def test_zero_case(self):
-        assert crt_pair(Residue(0, 11), Residue(0, 5)) == Residue(0, 55)
+        assert crt_pair(0, 11, 0, 5) == 0
 
     def test_small_common_residue(self):
-        assert crt_pair(Residue(4, 11), Residue(4, 5)) == Residue(4, 55)
+        assert crt_pair(4, 11, 4, 5) == 4
 
     def test_rejects_shared_factor(self):
         with pytest.raises(InvalidModuliError):
-            crt_pair(Residue(1, 6), Residue(1, 10))
+            crt_pair(1, 6, 1, 10)
 
     @settings(max_examples=100)
     @given(st.integers(2, 2**64), st.integers(2, 2**64), st.data())
     def test_round_trip(self, m1, m2, data):
         assume(math.gcd(m1, m2) == 1)
         x = data.draw(st.integers(0, m1 * m2 - 1))
-        assert crt_pair(Residue(x % m1, m1), Residue(x % m2, m2)).value == x
-
-
-class TestResidue:
-    def test_rejects_out_of_range(self):
-        with pytest.raises(InvalidInputError):
-            Residue(7, 7)
-        with pytest.raises(InvalidInputError):
-            Residue(-1, 7)
-
-    def test_rejects_tiny_modulus(self):
-        with pytest.raises(InvalidInputError):
-            Residue(0, 1)
+        assert crt_pair(x % m1, m1, x % m2, m2) == x

@@ -2,9 +2,12 @@ import csv
 import hashlib
 import json
 import random
+import time
 
 import pytest
 
+import dlogcrt
+from dlogcrt import Factorization, lift, oracle, primitive_root, quotients, reduction
 from dlogcrt import verify_instance
 from dlogcrt.cli import (
     GROUP_CACHE_LIMIT,
@@ -13,6 +16,8 @@ from dlogcrt.cli import (
     report_document,
     sample_instance,
 )
+
+from conftest import CRYPTO_GROUPS
 
 
 def run_cli(capsys, *argv):
@@ -112,6 +117,27 @@ class TestExplain:
         assert code == 0
         assert "n = 2" in out
 
+    def test_solving_runs_the_subgroup_log_once(self, capsys, monkeypatch):
+        calls = []
+        dlog_bsgs = oracle.dlog_bsgs
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return dlog_bsgs(*args, **kwargs)
+
+        for module in (dlogcrt, quotients, oracle, lift, reduction):
+            if hasattr(module, "dlog_bsgs"):
+                monkeypatch.setattr(module, "dlog_bsgs", counted)
+
+        instance = ("--p", "983", "--q", "491", "--a0", "5", "--b0", "77")
+        code, solved = run_cli(capsys, "explain", *instance)
+        assert code == 0
+        assert len(calls) == 1
+        _, n = run_cli(capsys, "solve", *instance)
+        code, known = run_cli(capsys, "explain", *instance, "--n", json.loads(n)["n"])
+        assert code == 0
+        assert solved == known
+
 
 class TestErrors:
     def test_domain_error_is_structured_exit_1(self, capsys):
@@ -136,6 +162,29 @@ class TestErrors:
         with pytest.raises(SystemExit) as exc:
             main(["no-such-command"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_unopenable_output_path_exits_2(self, capsys, tmp_path, flag):
+        path = tmp_path / "missing" / "x"
+        with pytest.raises(SystemExit) as exc:
+            main(["experiment", "--count", "3", "--seed", "1", flag, str(path)])
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
+
+    @pytest.mark.parametrize("command", ["solve", "verify", "explain"])
+    def test_solver_on_a_256_bit_group_is_order_too_large(self, capsys, command):
+        p, q = CRYPTO_GROUPS[0]
+        a0 = primitive_root(p, Factorization(((2, 1), (q, 1))))
+        n = 2**200 + 12345
+        argv = [command, "--p", str(p), "--q", str(q), "--a0", str(a0)]
+        argv += ["--b0", str(pow(a0, n, p))]
+        if command == "verify":
+            argv += ["--n", str(n)]
+        start = time.perf_counter()
+        code, out = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 1
+        assert json.loads(out)["error"]["code"] == "order-too-large"
 
     def test_negative_count_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -166,6 +215,22 @@ class TestDeterminism:
         assert code == 0
         assert hashlib.sha256(out.encode()).hexdigest() == (
             "36f8cbedbe6c35ca88efcf51b1c3d811eed1687bfd6fcb458c952f5870b9adc8"
+        )
+
+    def test_experiment_files_golden_digest(self, capsys, tmp_path):
+        # writing each record as it is made changes no byte of either file
+        out_path, csv_path = tmp_path / "runs.jsonl", tmp_path / "flags.csv"
+        code, out = run_cli(
+            capsys,
+            "experiment", "--count", "300", "--qmin", "5", "--qmax", "499", "--seed", "1",
+            "--out", str(out_path), "--csv", str(csv_path),
+        )
+        assert code == 0 and out == ""
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == (
+            "36f8cbedbe6c35ca88efcf51b1c3d811eed1687bfd6fcb458c952f5870b9adc8"
+        )
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
+            "60a366b77431d1f0cdb7407540935547912c39069893772f57b1ab86d3134a15"
         )
 
 

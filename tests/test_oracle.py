@@ -57,6 +57,11 @@ class TestBsgs:
     def test_outside_subgroup_is_none(self):
         assert dlog_bsgs(CyclicContext(16, 55, 5), 2) is None
 
+    def test_guard_on_large_order(self):
+        ctx = CyclicContext(1, 2, 2**48 + 1)
+        with pytest.raises(OrderTooLargeError):
+            dlog_bsgs(ctx, 1)
+
     def test_trivial_group(self):
         ctx = CyclicContext(1, 7, 1)
         assert dlog_bsgs(ctx, 1) == 0

@@ -8,9 +8,7 @@ from hypothesis import strategies as st
 from dlogcrt import (
     LiftProfile,
     SafePrimeParams,
-    base_power_digits,
     fermat_quotient,
-    lerch_quotient,
     lift_profile,
 )
 from dlogcrt.errors import ExactnessError, NotAUnitError
@@ -28,6 +26,10 @@ def _random_units(params, rng, count, below=None):
         if x % params.p and x % params.q:
             units.append(x)
     return units
+
+
+def _quotient(params, x):
+    return lift_profile(params, x).quotient
 
 
 class TestFermatQuotient:
@@ -58,20 +60,20 @@ class TestFermatQuotient:
 
 class TestLerchQuotient:
     def test_golden_values(self, golden):
-        assert lerch_quotient(golden, 2) == 18
-        assert lerch_quotient(golden, 4) == 36
-        assert lerch_quotient(golden, 1) == 0
+        assert _quotient(golden, 2) == 18
+        assert _quotient(golden, 4) == 36
+        assert _quotient(golden, 1) == 0
 
     def test_rejects_non_units(self, golden):
         for x in (5, 11, 55, 110):
             with pytest.raises(NotAUnitError):
-                lerch_quotient(golden, x)
+                lift_profile(golden, x)
 
     def test_defining_congruence(self):
         rng = random.Random(14)
         for params in PARAM_SETS:
             for x in _random_units(params, rng, 25):
-                qx = lerch_quotient(params, x)
+                qx = _quotient(params, x)
                 assert (
                     pow(x, params.exponent, params.m3)
                     == (1 + qx * params.m2) % params.m3
@@ -82,8 +84,8 @@ class TestLerchQuotient:
         for params in PARAM_SETS:
             for _ in range(40):
                 x, y = _random_units(params, rng, 2)
-                lhs = lerch_quotient(params, x * y)
-                rhs = (lerch_quotient(params, x) + lerch_quotient(params, y)) % params.m1
+                lhs = _quotient(params, x * y)
+                rhs = (_quotient(params, x) + _quotient(params, y)) % params.m1
                 assert lhs == rhs, (params.p, x, y)
 
     def test_power_rule(self):
@@ -92,23 +94,23 @@ class TestLerchQuotient:
         rng = random.Random(16)
         for params in PARAM_SETS:
             for x in _random_units(params, rng, 5):
-                qx = lerch_quotient(params, x)
+                qx = _quotient(params, x)
                 for j in range(1, 21):
                     assert (
-                        lerch_quotient(params, pow(x, j, params.m3))
+                        _quotient(params, pow(x, j, params.m3))
                         == j * qx % params.m1
                     )
 
     def test_depends_on_more_than_residue_mod_m1(self, golden):
         # two integers congruent mod pq generally have different quotients
-        assert lerch_quotient(golden, 2) != lerch_quotient(golden, 2 + golden.m1)
+        assert _quotient(golden, 2) != _quotient(golden, 2 + golden.m1)
 
     def test_depends_only_on_residue_mod_m2(self):
         rng = random.Random(19)
         for params in PARAM_SETS + [P256]:
             for x in _random_units(params, rng, 10):
                 for t in (1, 2, params.m1, rng.randrange(params.m3)):
-                    assert lerch_quotient(params, x) == lerch_quotient(
+                    assert _quotient(params, x) == _quotient(
                         params, x + t * params.m2
                     ), (params.p, x, t)
 
@@ -117,26 +119,27 @@ class TestLerchQuotient:
         params = SafePrimeParams(23, 11)
         object.__setattr__(params, "q", 9)
         with pytest.raises(ExactnessError):
-            lerch_quotient(params, 2)
+            lift_profile(params, 2)
 
 
 class TestBasePowerDigits:
     def test_golden_values(self, golden):
-        assert base_power_digits(golden, 2) == (16, 0)
-        assert base_power_digits(golden, 4) == (36, 4)
-        assert base_power_digits(golden, 1) == (1, 0)
+        for x, digits in ((2, (16, 0)), (4, (36, 4)), (1, (1, 0))):
+            prof = lift_profile(golden, x)
+            assert (prof.power_residue, prof.carry) == digits
 
     def test_carry_reconstructs_the_power(self):
         rng = random.Random(17)
         for params in PARAM_SETS:
             for x in _random_units(params, rng, 20):
-                low, carry = base_power_digits(params, x)
+                prof = lift_profile(params, x)
+                low, carry = prof.power_residue, prof.carry
                 assert 0 <= low < params.m1 and 0 <= carry < params.m1
                 assert low + carry * params.m1 == pow(x, params.q - 1, params.m2)
 
     def test_rejects_non_unit(self, golden):
         with pytest.raises(NotAUnitError):
-            base_power_digits(golden, 33)
+            lift_profile(golden, 33)
 
 
 class TestLiftProfile:
@@ -192,16 +195,14 @@ def _profile_by_definition(params, x):
     "pq", DIFFERENTIAL_GROUPS, ids=lambda pq: f"{pq[0].bit_length()}bit-q{pq[1] % 10**6}"
 )
 def test_matches_the_definitions(pq):
-    """lerch_quotient, base_power_digits and lift_profile against
-    pow(x, exponent, m3) and pow(x, q - 1, m2), on bases up to m3."""
+    """lift_profile against pow(x, exponent, m3) and pow(x, q - 1, m2), on
+    bases up to m3."""
     params = SafePrimeParams(*pq)
     rng = random.Random(params.q)
     count = 3 if params.p.bit_length() > 256 else 12
     for x in [1, 2, params.m1 - 1] + _random_units(params, rng, count, params.m3):
         want = _profile_by_definition(params, x)
         assert lift_profile(params, x) == want, (params.p, x)
-        assert lerch_quotient(params, x) == want.quotient, (params.p, x)
-        assert base_power_digits(params, x) == (want.power_residue, want.carry)
 
 
 @settings(max_examples=40, deadline=None)

@@ -16,7 +16,6 @@ from .lift import (
 from .mcrt import (
     LinearEquation,
     LinearSystem,
-    ModularSolutions,
     SolutionSet,
     solve_single,
     solve_system,
@@ -39,7 +38,6 @@ from .reduction import (
     LinearCongruence,
     VerificationReport,
     candidates_mod_group_order,
-    master_coefficients,
     solve_small,
     subgroup_index_mod_q,
     transform,
@@ -59,7 +57,6 @@ __all__ = [
     "LinearCongruence",
     "LinearEquation",
     "LinearSystem",
-    "ModularSolutions",
     "SafePrimeParams",
     "SolutionSet",
     "VerificationReport",
@@ -79,7 +76,6 @@ __all__ = [
     "gen_safe_prime",
     "is_prime",
     "lift_profile",
-    "master_coefficients",
     "mod_inv",
     "primitive_root",
     "recover_index_mod_p2",

@@ -20,7 +20,7 @@ from math import gcd
 from typing import Iterator
 
 from .errors import DlogCrtError, InvalidInputError, SearchExhaustedError
-from .lift import recover_index_mod_p2, teichmuller_digit
+from .lift import _recover_p2
 from .numtheory import (
     Factorization,
     SafePrimeParams,
@@ -80,8 +80,8 @@ def system_document(system: CongruenceSystem) -> dict:
 def report_document(report: VerificationReport) -> dict:
     """Flat record of a verification run: inputs, every intermediate value,
     and the pass/fail flags. Records round-trip through record_instance."""
-    inst = report.instance
-    prof_a, prof_b = report.profile_a, report.profile_b
+    inst, lemma2 = report.instance, report.lemma2
+    prof_a, prof_b = lemma2.profile_a, lemma2.profile_b
     return {
         "p": str(inst.params.p),
         "q": str(inst.params.q),
@@ -98,18 +98,17 @@ def report_document(report: VerificationReport) -> dict:
         "b1": str(prof_b.digit),
         "a1_literal": str(prof_a.digit_literal),
         "b1_literal": str(prof_b.digit_literal),
-        "beta": str(report.beta),
-        "c": str(report.system.master.index_coeff),
-        "d": str(report.system.master.constant),
+        "beta": str(lemma2.beta),
+        "c": str(lemma2.index_coeff),
+        "d": str(lemma2.constant),
         "n_mod_q": str(report.subgroup_index),
         "candidates": [str(c) for c in report.candidates],
         "recovered_n": str(report.recovered_index),
         "lemma1_ok": report.lemma1_ok,
-        "lemma2_corrected_ok": report.lemma2.lift_identity_ok
-        and report.lemma2.linear_congruence_ok,
-        "lemma2_literal_ok": report.lemma2.literal_lift_identity_ok,
-        "eq19_corrected_ok": report.lemma2.eq19_corrected_ok,
-        "master_ok": report.master_ok,
+        "lemma2_corrected_ok": lemma2.corrected_ok,
+        "lemma2_literal_ok": lemma2.literal_lift_identity_ok,
+        "eq19_corrected_ok": lemma2.eq19_corrected_ok,
+        "master_ok": lemma2.linear_congruence_ok,
         "parts_ok": report.parts_ok,
         "recovered_n_ok": report.recovered_ok,
     }
@@ -223,7 +222,8 @@ def _explain_lines(report: VerificationReport) -> list[str]:
     inst = report.instance
     params = inst.params
     a0, b0, n = inst.base, inst.target, inst.known_index
-    pa, pb = report.profile_a, report.profile_b
+    lemma2 = report.lemma2
+    pa, pb, beta = lemma2.profile_a, lemma2.profile_b, lemma2.beta
     master = report.system.master
 
     def mark(ok: bool) -> str:
@@ -253,30 +253,30 @@ def _explain_lines(report: VerificationReport) -> list[str]:
         "",
         "carry of the index power",
         f"  {a0}^(n*(q-1)) mod {params.m2} = B + beta*{params.m1}"
-        f" with beta = {report.beta}",
+        f" with beta = {beta}",
         "",
         f"master congruence in the unknowns (beta, n) mod {params.m1}",
         f"  beta + {master.index_coeff}*n = {master.constant} (mod {master.modulus})"
-        f"   [{mark(report.master_ok)}:"
-        f" {report.beta} + {master.index_coeff}*{n} ="
-        f" {(report.beta + master.index_coeff * n) % master.modulus}]",
+        f"   [{mark(lemma2.linear_congruence_ok)}:"
+        f" {beta} + {master.index_coeff}*{n} ="
+        f" {(beta + master.index_coeff * n) % master.modulus}]",
         "  split over the coprime moduli:",
     ]
     for part in report.system.parts:
         lines.append(
             f"    beta + {part.index_coeff}*n = {part.constant}"
-            f" (mod {part.modulus})   [{mark(part.satisfied_by(report.beta, n))}]"
+            f" (mod {part.modulus})   [{mark(part.satisfied_by(beta, n))}]"
         )
     lines += [
         "",
         "consistency checks",
         f"  power compatibility mod pq (lemma 1): {mark(report.lemma1_ok)}",
         f"  lifted power identity, corrected digits (lemma 2):"
-        f" {mark(report.lemma2.lift_identity_ok)}",
+        f" {mark(lemma2.lift_identity_ok)}",
         f"  lifted power identity, carry-free digits:"
-        f" {mark(report.lemma2.literal_lift_identity_ok)}",
+        f" {mark(lemma2.literal_lift_identity_ok)}",
         f"  quotient relation n*q(a0) = q(b0) + (beta - k_b)/B:"
-        f" {mark(report.lemma2.eq19_corrected_ok)}",
+        f" {mark(lemma2.eq19_corrected_ok)}",
         "",
         "index recovery",
         f"  subgroup of order q generated by A mod {params.m1}:"
@@ -403,16 +403,9 @@ def _run(args: argparse.Namespace) -> int:
         if not is_prime(args.p):
             raise InvalidInputError(f"{args.p} is not prime")
         p = args.p
-        power = args.power % (p * p)
-        b0 = power % p
+        n, b0, beta, a1, b1 = _recover_p2(p, args.a0, args.power % (p * p))
         _print_json(
-            {
-                "n": str(recover_index_mod_p2(p, args.a0, power)),
-                "b0": str(b0),
-                "beta": str((power - b0) // p),
-                "a1": str(teichmuller_digit(p, args.a0 % p)),
-                "b1": str(teichmuller_digit(p, b0)),
-            }
+            {"n": str(n), "b0": str(b0), "beta": str(beta), "a1": str(a1), "b1": str(b1)}
         )
 
     elif args.command == "experiment":
@@ -446,7 +439,12 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return _run(args)
     except DlogCrtError as exc:
-        _print_json({"error": {"code": exc.code, "message": str(exc)}})
+        doc = {"error": {"code": exc.code, "message": str(exc)}}
+        # experiment's stdout is JSON lines, so its error is one more line
+        if args.command == "experiment":
+            print(_json_line(doc))
+        else:
+            _print_json(doc)
         return 1
 
 

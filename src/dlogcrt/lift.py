@@ -64,6 +64,11 @@ def recover_index_mod_p2(p: int, a0: int, power: int) -> int:
     is solved for n. For 1 <= n <= p - 1 the result equals n. Bases whose
     digit a1 vanishes mod p are rejected: the relation then says nothing.
     """
+    return _recover_p2(p, a0, power)[0]
+
+
+def _recover_p2(p: int, a0: int, power: int) -> tuple[int, int, int, int, int]:
+    """(n, b0, beta, a1, b1) of recover_index_mod_p2, each derived once."""
     a0 = a0 % p
     _require_unit(a0, p, "a0")
     if gcd(power, p) != 1:
@@ -77,7 +82,7 @@ def recover_index_mod_p2(p: int, a0: int, power: int) -> int:
     beta = carry_beta_p2(p, b0, power % (p * p))
     b1 = teichmuller_digit(p, b0)
     coeff = b0 * mod_inv(a0, p) * a1 % p
-    return (b1 - beta) * mod_inv(coeff, p) % p
+    return (b1 - beta) * mod_inv(coeff, p) % p, b0, beta, a1, b1
 
 
 def _check_power_premise(params: SafePrimeParams, a0: int, b0: int, n: int) -> None:
@@ -121,9 +126,19 @@ def check_lemma1(params: SafePrimeParams, a0: int, b0: int, n: int) -> bool:
     )
 
 
+def _linear_coefficients(
+    params: SafePrimeParams, prof_a: LiftProfile, prof_b: LiftProfile
+) -> tuple[int, int]:
+    """Coefficients (c, d) of beta + c*n = d (mod pq) from the lift profiles
+    of a0 and b0: c = -B*q(a0) and d = k_b - B*q(b0), which is exactly b0's
+    corrected digit."""
+    return -prof_b.power_residue * prof_a.quotient % params.m1, prof_b.digit
+
+
 @dataclass(frozen=True)
 class Lemma2Report:
-    """Outcome of checking the composite lift identity for one instance.
+    """Outcome of checking the composite lift identity for one instance:
+    the one derivation of its lift profiles, beta, c and d.
 
     Corrected digits (carry included) are the operative ones; the literal
     digits (carry omitted) are evaluated side by side so the discrepancy is
@@ -139,10 +154,11 @@ class Lemma2Report:
     linear_congruence_ok: bool
     eq19_corrected_ok: bool
     literal_lift_identity_ok: bool
-    literal_linear_ok: bool
 
     @property
     def corrected_ok(self) -> bool:
+        # eq19 is the linear congruence divided by the unit B, so the two
+        # agree; both are kept as separate checks
         return (
             self.lift_identity_ok
             and self.linear_congruence_ok
@@ -160,34 +176,19 @@ def check_lemma2(params: SafePrimeParams, a0: int, b0: int, n: int) -> Lemma2Rep
       linear congruence    beta + n*c = d               (mod pq)
       quotient relation    n*q(a0) = q(b0) + (beta - k_b)/B  (mod pq)
 
-    where c = -B*q(a0) and d = k_b - B*q(b0) = b1. The same checks with the
-    literal digits are recorded as the literal flags.
+    with c and d from _linear_coefficients. The lift identity with the
+    literal digits is recorded as the literal flag.
     """
     m1, m2 = params.m1, params.m2
     prof_a = lift_profile(params, a0)
     prof_b = lift_profile(params, b0)
     beta = carry_beta_pq(params, a0, b0, n).beta
-
+    coeff, constant = _linear_coefficients(params, prof_a, prof_b)
     a_res, b_res = prof_a.power_residue, prof_b.power_residue
-    coeff = -b_res * prof_a.quotient % m1
-    constant = prof_b.digit
+    eq19_rhs = (prof_b.quotient + (beta - prof_b.carry) * mod_inv(b_res, m1)) % m1
 
-    lift_ok = (
-        _pow_m2(params, a_res + prof_a.digit * m1, n)
-        == (b_res + prof_b.digit * m1) % m2
-    )
-    linear_ok = (beta + n * coeff) % m1 == constant
-    eq19_ok = (
-        n * prof_a.quotient % m1
-        == (prof_b.quotient + (beta - prof_b.carry) * mod_inv(b_res, m1)) % m1
-    )
-
-    literal_lift_ok = (
-        _pow_m2(params, a_res + prof_a.digit_literal * m1, n)
-        == (b_res + prof_b.digit_literal * m1) % m2
-    )
-    literal_coeff = b_res * mod_inv(a_res, m1) * prof_a.digit_literal % m1
-    literal_linear_ok = (beta + n * literal_coeff) % m1 == prof_b.digit_literal
+    def lifts(digit_a: int, digit_b: int) -> bool:
+        return _pow_m2(params, a_res + digit_a * m1, n) == (b_res + digit_b * m1) % m2
 
     return Lemma2Report(
         profile_a=prof_a,
@@ -195,9 +196,8 @@ def check_lemma2(params: SafePrimeParams, a0: int, b0: int, n: int) -> Lemma2Rep
         beta=beta,
         index_coeff=coeff,
         constant=constant,
-        lift_identity_ok=lift_ok,
-        linear_congruence_ok=linear_ok,
-        eq19_corrected_ok=eq19_ok,
-        literal_lift_identity_ok=literal_lift_ok,
-        literal_linear_ok=literal_linear_ok,
+        lift_identity_ok=lifts(prof_a.digit, prof_b.digit),
+        linear_congruence_ok=(beta + n * coeff) % m1 == constant,
+        eq19_corrected_ok=n * prof_a.quotient % m1 == eq19_rhs,
+        literal_lift_identity_ok=lifts(prof_a.digit_literal, prof_b.digit_literal),
     )

@@ -5,8 +5,10 @@ A single equation c . x = w (mod m) is put in the form g*y1 = w (mod m) by
 an integer column reduction c*U = (g0, 0, ..., 0) with U unimodular; its
 solutions are a coset of a subgroup of (Z/m)**r described by a particular
 solution plus r generators with cycle lengths (g, m, ..., m), g =
-gcd(c1, ..., cr, m). Systems over coprime moduli combine componentwise by
-classical CRT. Sets are never materialized unless enumeration is requested.
+gcd(c1, ..., cr, m). Over coprime moduli each equation's coset is lifted to
+the product modulus by its CRT idempotent (1 mod its own modulus, 0 mod the
+others), so a system's solutions are again one coset. Sets are never
+materialized unless enumeration is requested.
 """
 
 from __future__ import annotations
@@ -98,77 +100,16 @@ def _column_reduce(coeffs: list[int]) -> tuple[int, list[list[int]]]:
 
 
 @dataclass(frozen=True)
-class ModularSolutions:
-    """Solutions of one equation mod m: empty, or origin + span of the
-    generators, each coordinate tuple hit exactly once by
+class SolutionSet:
+    """Solutions of a system mod its product modulus: empty, or origin +
+    span of the generators, each solution hit exactly once by
     origin + sum(t_i * gen_i) with 0 <= t_i < cycle_i."""
 
-    equation: LinearEquation
+    system: LinearSystem
     empty: bool
     origin: Point
     generators: tuple[Point, ...]
     cycles: tuple[int, ...]
-
-    @property
-    def count(self) -> int:
-        return 0 if self.empty else prod(self.cycles)
-
-    def contains(self, point: Point) -> bool:
-        if self.empty:
-            return False
-        return self.equation.satisfied_by(point)
-
-    def enumerate(self, limit: int) -> list[Point]:
-        """All solutions, lexicographically sorted, each re-verified against
-        the equation before emission."""
-        if self.count > limit:
-            raise TooManySolutionsError(
-                f"{self.count} solutions exceed the limit {limit}"
-            )
-        if self.empty:
-            return []
-        m = self.equation.modulus
-        points = []
-        for steps in itertools.product(*(range(c) for c in self.cycles)):
-            point = tuple(
-                (o + sum(t * gen[i] for t, gen in zip(steps, self.generators)))
-                % m
-                for i, o in enumerate(self.origin)
-            )
-            if not self.equation.satisfied_by(point):
-                raise AssertionError(f"generated point {point} fails its equation")
-            points.append(point)
-        points.sort()
-        return points
-
-
-def solve_single(coeffs: tuple[int, ...] | list[int], constant: int, modulus: int) -> ModularSolutions:
-    """Solution set of one linear congruence. Empty when
-    g = gcd(coeffs..., m) does not divide the constant; otherwise the count
-    is g * m**(r-1)."""
-    eq = LinearEquation(tuple(coeffs), constant, modulus)
-    r, m, w = eq.unknowns, eq.modulus, eq.constant
-    g0, u = _column_reduce(list(eq.coeffs))
-    g = gcd(g0, m)
-    if w % g != 0:
-        return ModularSolutions(eq, True, (0,) * r, (), ())
-    step = m // g
-    y1 = 0 if step == 1 else (w // g) * mod_inv(g0 // g, step) % step
-    origin = tuple(u[i][0] * y1 % m for i in range(r))
-    generators = [tuple(u[i][0] * step % m for i in range(r))]
-    cycles = [g]
-    for j in range(1, r):
-        generators.append(tuple(u[i][j] % m for i in range(r)))
-        cycles.append(m)
-    return ModularSolutions(eq, False, origin, tuple(generators), tuple(cycles))
-
-
-@dataclass(frozen=True)
-class SolutionSet:
-    """Componentwise-CRT product of per-modulus solution sets."""
-
-    system: LinearSystem
-    parts: tuple[ModularSolutions, ...]
 
     @property
     def modulus(self) -> int:
@@ -176,47 +117,63 @@ class SolutionSet:
 
     @property
     def count(self) -> int:
-        return prod(part.count for part in self.parts)
+        return 0 if self.empty else prod(self.cycles)
 
     def contains(self, point: Point) -> bool:
-        return all(
-            part.contains(tuple(x % part.equation.modulus for x in point))
-            for part in self.parts
-        )
+        return all(eq.satisfied_by(point) for eq in self.system.equations)
 
     def enumerate(self, limit: int) -> list[Point]:
         """All solutions mod the product modulus, lexicographically sorted,
-        re-verified against every equation."""
+        each re-verified against every equation before emission."""
         if self.count > limit:
             raise TooManySolutionsError(
                 f"{self.count} solutions exceed the limit {limit}"
             )
-        if self.count == 0:
+        if self.empty:
             return []
+        m = self.modulus
         points = []
-        per_part = [part.enumerate(limit) for part in self.parts]
-        moduli = [part.equation.modulus for part in self.parts]
-        for combo in itertools.product(*per_part):
-            point = []
-            for i in range(self.system.unknowns):
-                acc, modulus = combo[0][i], moduli[0]
-                for rest, m in zip(combo[1:], moduli[1:]):
-                    acc = crt_pair(acc, modulus, rest[i], m)
-                    modulus *= m
-                point.append(acc)
-            point = tuple(point)
+        for steps in itertools.product(*(range(c) for c in self.cycles)):
+            point = tuple(
+                (o + sum(t * gen[i] for t, gen in zip(steps, self.generators)))
+                % m
+                for i, o in enumerate(self.origin)
+            )
             if not self.contains(point):
-                raise AssertionError(f"recombined point {point} fails the system")
+                raise AssertionError(f"generated point {point} fails the system")
             points.append(point)
         points.sort()
         return points
 
 
+def solve_single(coeffs: tuple[int, ...] | list[int], constant: int, modulus: int) -> SolutionSet:
+    """Solution set of one linear congruence. Empty when
+    g = gcd(coeffs..., m) does not divide the constant; otherwise the count
+    is g * m**(r-1)."""
+    eq = LinearEquation(tuple(coeffs), constant, modulus)
+    return solve_system(LinearSystem(eq.unknowns, (eq,)))
+
+
 def solve_system(system: LinearSystem) -> SolutionSet:
-    """Solve per modulus and combine; the count is the product of the
-    per-modulus counts and membership is componentwise."""
-    parts = tuple(
-        solve_single(eq.coeffs, eq.constant, eq.modulus)
-        for eq in system.equations
-    )
-    return SolutionSet(system=system, parts=parts)
+    """Solve each equation mod its own modulus and lift its coset to the
+    product modulus by the CRT idempotent of that modulus; the count is the
+    product of the per-equation counts."""
+    r, big = system.unknowns, system.modulus
+    origin, generators, cycles = [0] * r, [], []
+    for eq in system.equations:
+        m, w = eq.modulus, eq.constant
+        g0, u = _column_reduce(list(eq.coeffs))
+        g = gcd(g0, m)
+        if w % g != 0:
+            return SolutionSet(system, True, (0,) * r, (), ())
+        step = m // g
+        y1 = 0 if step == 1 else (w // g) * mod_inv(g0 // g, step) % step
+        idem = crt_pair(1, m, 0, big // m)  # 1 mod m, 0 mod the other moduli
+        for i in range(r):
+            origin[i] = (origin[i] + idem * u[i][0] * y1) % big
+        generators.append(tuple(idem * u[i][0] * step % big for i in range(r)))
+        cycles.append(g)
+        for j in range(1, r):
+            generators.append(tuple(idem * u[i][j] % big for i in range(r)))
+            cycles.append(m)
+    return SolutionSet(system, False, tuple(origin), tuple(generators), tuple(cycles))

@@ -9,10 +9,10 @@ from dataclasses import dataclass, replace
 from math import gcd
 
 from .errors import InvalidInstanceError, NoSolutionError, PreconditionError
-from .lift import Lemma2Report, check_lemma1, check_lemma2
+from .lift import Lemma2Report, _linear_coefficients, check_lemma1, check_lemma2
 from .numtheory import SafePrimeParams
 from .oracle import CyclicContext, dlog_bsgs
-from .quotients import LiftProfile, lift_profile
+from .quotients import lift_profile
 
 
 @dataclass(frozen=True)
@@ -109,18 +109,6 @@ class CongruenceSystem:
         )
 
 
-def master_coefficients(
-    params: SafePrimeParams, base: int, target: int
-) -> tuple[int, int]:
-    """Coefficients (c, d) of the master congruence beta + c*n = d (mod pq):
-    c = -B*q(base) and d = k_b - B*q(target), taken from the target's lift
-    profile (d is exactly the target's corrected digit)."""
-    prof_b = lift_profile(params, target)
-    quotient_a = lift_profile(params, base).quotient
-    c = -prof_b.power_residue * quotient_a % params.m1
-    return c, prof_b.digit
-
-
 def _master_system(params: SafePrimeParams, c: int, d: int) -> CongruenceSystem:
     """beta + c*n = d (mod pq) with its reductions mod p and mod q."""
     master = LinearCongruence(1, c, d, params.m1)
@@ -136,9 +124,9 @@ def transform(instance: DlogInstance) -> CongruenceSystem:
     (q-1)-th power residue, paired with the true index n, satisfies every
     equation of the system."""
     params = instance.params
-    return _master_system(
-        params, *master_coefficients(params, instance.base, instance.target)
-    )
+    prof_a = lift_profile(params, instance.base)
+    prof_b = lift_profile(params, instance.target)
+    return _master_system(params, *_linear_coefficients(params, prof_a, prof_b))
 
 
 def subgroup_index_mod_q(instance: DlogInstance) -> int:
@@ -186,18 +174,15 @@ class VerificationReport:
     """All intermediate values and checks for an instance with known index.
 
     Everything is re-derivable from (p, q, base, target, known index); the
-    literal digits sit next to the corrected ones so any discrepancy is
-    explicit in the report rather than hidden.
+    lift profiles, beta, c, d and the lemma-2 flags are those of lemma2,
+    whose literal digits sit next to the corrected ones so any discrepancy
+    is explicit in the report rather than hidden.
     """
 
     instance: DlogInstance
-    profile_a: LiftProfile
-    profile_b: LiftProfile
-    beta: int
     system: CongruenceSystem
     lemma2: Lemma2Report
     lemma1_ok: bool
-    master_ok: bool
     parts_ok: bool
     subgroup_index: int
     candidates: tuple[int, int]
@@ -209,7 +194,6 @@ class VerificationReport:
         return (
             self.lemma1_ok
             and self.lemma2.corrected_ok
-            and self.master_ok
             and self.parts_ok
             and self.recovered_ok
         )
@@ -238,24 +222,15 @@ def _verify(instance: DlogInstance) -> VerificationReport:
 
     lemma1_ok = check_lemma1(params, a0, b0, n)
     lemma2 = check_lemma2(params, a0, b0, n)
-    beta = lemma2.beta
     system = _master_system(params, lemma2.index_coeff, lemma2.constant)
-    master_ok = system.master.satisfied_by(beta, n)
-    parts_ok = all(part.satisfied_by(beta, n) for part in system.parts)
-    recovered_ok = recovered == n % params.group_order
-
     return VerificationReport(
         instance=instance,
-        profile_a=lemma2.profile_a,
-        profile_b=lemma2.profile_b,
-        beta=beta,
         system=system,
         lemma2=lemma2,
         lemma1_ok=lemma1_ok,
-        master_ok=master_ok,
-        parts_ok=parts_ok,
+        parts_ok=all(part.satisfied_by(lemma2.beta, n) for part in system.parts),
         subgroup_index=n_q,
         candidates=candidates,
         recovered_index=recovered,
-        recovered_ok=recovered_ok,
+        recovered_ok=recovered == n % params.group_order,
     )

@@ -77,11 +77,11 @@ def test_criterion_1_golden_instance():
         assert parts == [(1, 1, 6, 11), (1, 2, 3, 5)]
 
         report = verify_instance(inst)
-        assert report.beta == 4
-        assert report.profile_b.carry == 4
+        assert report.lemma2.beta == 4
+        assert report.lemma2.profile_b.carry == 4
         # the discrepancy report must show the carry-free digit 24 != 28
-        assert report.profile_b.digit_literal == 24
-        assert report.profile_b.digit == 28
+        assert report.lemma2.profile_b.digit_literal == 24
+        assert report.lemma2.profile_b.digit == 28
         assert not report.lemma2.literal_lift_identity_ok
         assert report.all_ok
 
@@ -100,7 +100,7 @@ def test_criterion_2_transform_soundness():
             assert report.lemma2.lift_identity_ok
             assert report.lemma2.linear_congruence_ok
             assert report.lemma2.eq19_corrected_ok
-            assert report.master_ok and report.parts_ok
+            assert report.parts_ok
         assert len(seen_q) >= 10  # the sampler actually spreads over the range
 
 

@@ -7,7 +7,7 @@ import time
 import pytest
 
 import dlogcrt
-from dlogcrt import Factorization, lift, oracle, primitive_root, quotients, reduction
+from dlogcrt import Factorization, cli, lift, oracle, primitive_root, quotients, reduction
 from dlogcrt import verify_instance
 from dlogcrt.cli import (
     GROUP_CACHE_LIMIT,
@@ -95,6 +95,27 @@ class TestRecoverP2:
         code, out = run_cli(capsys, "recover-p2", "--p", "11", "--a0", "2", "--X", "8")
         assert code == 0
         assert json.loads(out)["n"] == "3"
+
+    def test_derives_each_digit_and_the_carry_once(self, capsys, monkeypatch):
+        calls = {"teichmuller_digit": 0, "carry_beta_p2": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+
+            return wrapper
+
+        for name in calls:
+            wrapped = counted(name, getattr(lift, name))
+            for module in (dlogcrt, lift, cli):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapped)
+
+        code, out = run_cli(capsys, "recover-p2", "--p", "11", "--a0", "2", "--X", "8")
+        assert code == 0
+        assert json.loads(out) == {"n": "3", "b0": "8", "beta": "0", "a1": "10", "b1": "10"}
+        assert calls == {"teichmuller_digit": 2, "carry_beta_p2": 1}
 
 
 class TestExplain:
@@ -266,6 +287,20 @@ class TestExperiment:
         ]
         assert len(rows) == 7
         assert all(row[6] == "true" for row in rows[1:])
+
+    def test_error_part_way_is_one_more_json_line(self, capsys, monkeypatch):
+        # a subgroup order above the solver bound stops the run after the
+        # records already written; stdout stays JSON lines
+        monkeypatch.setattr(oracle, "_BSGS_LIMIT", 300)
+        code, out = run_cli(
+            capsys,
+            "experiment", "--count", "50", "--qmin", "5", "--qmax", "499", "--seed", "1",
+        )
+        assert code == 1
+        docs = [json.loads(line) for line in out.splitlines()]
+        assert len(docs) > 1
+        assert all("id" in doc for doc in docs[:-1])
+        assert docs[-1]["error"]["code"] == "order-too-large"
 
     def test_impossible_range_is_search_exhausted(self, capsys):
         code, out = run_cli(

@@ -115,7 +115,10 @@ class TestSolveSystem:
         )
         solutions = solve_system(system)
         assert solutions.count == 16 * 5
-        assert [part.count for part in solutions.parts] == [16, 5]
+        assert [
+            solve_single(eq.coeffs, eq.constant, eq.modulus).count
+            for eq in system.equations
+        ] == [16, 5]
 
     def test_rejects_shared_moduli_factor(self):
         with pytest.raises(InvalidSystemError):

@@ -1,20 +1,22 @@
 import random
+from functools import cache
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 import dlogcrt
 from dlogcrt import lift, oracle, quotients, reduction
 from dlogcrt import (
     DlogInstance,
-    LinearCongruence,
+    Factorization,
     LinearEquation,
     LinearSystem,
     SafePrimeParams,
     candidates_mod_group_order,
     carry_beta_pq,
     check_lemma2,
-    master_coefficients,
     primitive_root,
     solve_small,
     solve_system,
@@ -24,7 +26,7 @@ from dlogcrt import (
 )
 from dlogcrt.errors import InvalidInstanceError, PreconditionError
 
-from conftest import SAFE_QS
+from conftest import CRYPTO_GROUPS, SAFE_QS
 
 
 def make_instance(q: int, n: int) -> DlogInstance | None:
@@ -101,17 +103,43 @@ class TestTransform:
         beta = carry_beta_pq(golden, 2, 2, 1).beta
         assert system.satisfied_by(beta, 1)
 
-    def test_matches_lemma2_coefficients(self, golden):
-        c, d = master_coefficients(golden, 2, 4)
-        report = check_lemma2(golden, 2, 4, 2)
-        assert (c, d) == (report.index_coeff, report.constant)
-
     def test_soundness_on_random_instances(self):
         for inst in random_instances(SAFE_QS[:6], 40, seed=2):
             system = transform(inst)
             n = inst.known_index
             beta = carry_beta_pq(inst.params, inst.base, inst.target, n).beta
             assert system.satisfied_by(beta, n), (inst.params.p, inst.base, inst.target, n)
+
+
+@cache
+def crypto_group(pq: tuple[int, int]) -> tuple[SafePrimeParams, int]:
+    p, q = pq
+    return SafePrimeParams(p, q), primitive_root(p, Factorization(((2, 1), (q, 1))))
+
+
+@pytest.mark.parametrize("pq", CRYPTO_GROUPS, ids=lambda pq: f"{pq[0].bit_length()}bit")
+@settings(max_examples=15, deadline=None)
+@given(n=st.integers(0, 2**600))
+def test_reduction_at_cryptographic_size(pq, n):
+    """transform and check_lemma2 derive the same congruence, eq19 agrees
+    with it, and (beta, n) lies in its multivariable-CRT solution set; no
+    discrete log is solved."""
+    params, a0 = crypto_group(pq)
+    b0 = pow(a0, n, params.p)
+    assume(gcd(b0, params.q) == 1)
+    system = transform(DlogInstance(params, a0, b0, known_index=n))
+    lemma2 = check_lemma2(params, a0, b0, n)
+    m = system.master
+    assert (m.beta_coeff, m.index_coeff, m.constant, m.modulus) == (
+        1, lemma2.index_coeff, lemma2.constant, params.m1,
+    )
+    assert lemma2.eq19_corrected_ok == lemma2.linear_congruence_ok
+    assert lemma2.corrected_ok
+    equations = tuple(
+        LinearEquation((part.beta_coeff, part.index_coeff), part.constant, part.modulus)
+        for part in system.parts
+    )
+    assert solve_system(LinearSystem(2, equations)).contains((lemma2.beta, n))
 
 
 class TestSubgroupIndex:
@@ -169,16 +197,17 @@ class TestVerifyInstance:
 
     def test_golden_report_values(self, golden):
         report = verify_instance(DlogInstance(golden, 2, 4, known_index=2))
-        assert report.profile_a.power_residue == 16
-        assert report.profile_b.power_residue == 36
-        assert report.profile_a.carry == 0
-        assert report.profile_b.carry == 4
-        assert report.profile_a.quotient == 18
-        assert report.profile_b.quotient == 36
-        assert report.profile_a.digit == 42
-        assert report.profile_b.digit == 28
-        assert report.profile_b.digit_literal == 24
-        assert report.beta == 4
+        pa, pb = report.lemma2.profile_a, report.lemma2.profile_b
+        assert pa.power_residue == 16
+        assert pb.power_residue == 36
+        assert pa.carry == 0
+        assert pb.carry == 4
+        assert pa.quotient == 18
+        assert pb.quotient == 36
+        assert pa.digit == 42
+        assert pb.digit == 28
+        assert pb.digit_literal == 24
+        assert report.lemma2.beta == 4
         assert report.system.master.index_coeff == 12
         assert report.system.master.constant == 28
         assert report.subgroup_index == 2

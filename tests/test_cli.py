@@ -89,6 +89,21 @@ class TestGen:
             "m3": "166375", "exponent": "220",
         }
 
+    def test_bits_above_the_cap_exit_2_before_generating(self, capsys, monkeypatch):
+        def refuse(bits, seed):
+            raise AssertionError("gen_safe_prime called")
+
+        monkeypatch.setattr(cli, "gen_safe_prime", refuse)
+        for bits in (cli.GEN_MAX_BITS + 1, 4000):
+            with pytest.raises(SystemExit) as exc:
+                main(["gen", "--bits", str(bits), "--seed", "1"])
+            assert exc.value.code == 2
+            assert capsys.readouterr().out == ""
+        args = cli.build_parser().parse_args(
+            ["gen", "--bits", str(cli.GEN_MAX_BITS), "--seed", "1"]
+        )
+        assert args.bits == cli.GEN_MAX_BITS
+
 
 class TestRecoverP2:
     def test_golden(self, capsys):

@@ -1,4 +1,5 @@
 import math
+import random
 import re
 
 import pytest
@@ -16,9 +17,39 @@ from dlogcrt import (
     primitive_root,
 )
 from dlogcrt.errors import DegenerateModulusError, InvalidInputError
-from dlogcrt.numtheory import is_prime_2q_plus_1
+from dlogcrt.numtheory import (
+    _MR_DETERMINISTIC_BOUND,
+    _mr_composite_witness,
+    _strong_lucas_prp,
+    is_prime_2q_plus_1,
+)
+from sympy import isprime, nextprime
+from sympy.ntheory.primetest import is_strong_lucas_prp
 
 from conftest import PRIMES_1000, sieve
+
+# The strong Lucas pseudoprimes below 60000 (Selfridge method A parameters)
+STRONG_LUCAS_PSEUDOPRIMES = (
+    5459, 5777, 10877, 16109, 18971, 22499, 24569, 25199, 40309, 58519,
+)
+
+
+def _passes_mr_base_2(n: int) -> bool:
+    d, r = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    return not _mr_composite_witness(n, 2, d, r)
+
+
+def _chernick_carmichael(k: int) -> int:
+    """(6k + 1)(12k + 1)(18k + 1), a Carmichael number when all three
+    factors are prime (checked against sympy and Korselt's criterion)."""
+    factors = (6 * k + 1, 12 * k + 1, 18 * k + 1)
+    assert all(isprime(f) for f in factors)
+    n = math.prod(factors)
+    assert all((n - 1) % (f - 1) == 0 for f in factors)
+    return n
 
 
 class TestIsPrime:
@@ -48,6 +79,50 @@ class TestIsPrime:
         # 2**101 - 1 = 7432339208719 * 341117531003194129
         assert not is_prime(2**101 - 1)
         assert is_prime(2**107 - 1)
+
+    def test_lucas_step_finds_exactly_the_known_pseudoprimes(self):
+        primes = set(sieve(60_000))
+        passing = [n for n in range(3, 60_000, 2) if _strong_lucas_prp(n)]
+        assert [n for n in passing if n not in primes] == list(STRONG_LUCAS_PSEUDOPRIMES)
+        assert not any(is_prime(n) for n in STRONG_LUCAS_PSEUDOPRIMES)
+
+    def test_lucas_step_matches_sympy(self):
+        # the known strong Lucas pseudoprimes, squares, and random odd n
+        rng = random.Random(6)
+        cases = list(STRONG_LUCAS_PSEUDOPRIMES) + list(range(3, 3000, 2))
+        cases += [p * p for p in PRIMES_1000[1:]] + [(2**89 - 1) ** 2]
+        cases += [rng.getrandbits(rng.randrange(8, 601)) | 1 for _ in range(400)]
+        for n in cases:
+            assert _strong_lucas_prp(n) == is_strong_lucas_prp(n), n
+
+    def test_matches_sympy_on_random_odd(self):
+        rng = random.Random(7)
+        for _ in range(600):
+            n = rng.getrandbits(rng.randrange(64, 601)) | 1
+            assert is_prime(n) == isprime(n), n
+
+    def test_matches_sympy_on_primes_and_their_products(self):
+        rng = random.Random(8)
+        for _ in range(40):
+            a = nextprime(rng.getrandbits(rng.randrange(32, 301)))
+            b = nextprime(rng.getrandbits(rng.randrange(32, 301)))
+            assert is_prime(a) and is_prime(b)
+            assert not is_prime(a * b) and not isprime(a * b)
+
+    def test_carmichael_numbers(self):
+        # 1729 up to a 310-bit number, four of them above the bound
+        for k in [1, 6, 35, 45, 51, 55, 56, 100, 195] + [
+            6_300_850, 10**12 + 1_121, 10**20 + 8_960, 10**30 + 43_391,
+        ]:
+            assert not is_prime(_chernick_carmichael(k)), k
+
+    def test_base_2_pseudoprimes_above_the_bound(self):
+        # (4**r + 1)/5 is a strong base-2 pseudoprime for prime r >= 7:
+        # above the bound only the Lucas step can reject it
+        for r in (r for r in PRIMES_1000 if 53 <= r <= 101):
+            n = (4**r + 1) // 5
+            assert n >= _MR_DETERMINISTIC_BOUND and _passes_mr_base_2(n), r
+            assert not is_prime(n), r
 
 
 class TestFactorization:
@@ -192,6 +267,20 @@ class TestGenSafePrime:
                 continue
             assert pow(x, params.exponent, params.m2) == 1
             checked += 1
+
+    def test_returns_the_first_safe_draw(self):
+        # the sieve skips no draw that the primality tests would accept:
+        # the result is the first drawn q with q and 2q + 1 prime per sympy
+        for bits, seed in [(b, s) for b in range(4, 41) for s in range(3)] + [
+            (96, 0),
+            (256, 1),
+        ]:
+            rng = random.Random(seed)
+            while True:
+                q = (1 << (bits - 2)) | rng.getrandbits(bits - 3) << 1 | 1
+                if isprime(q) and isprime(2 * q + 1):
+                    break
+            assert gen_safe_prime(bits, seed).q == q, (bits, seed)
 
     def test_rejects_tiny_bits(self):
         with pytest.raises(InvalidInputError):

@@ -119,12 +119,13 @@ def is_prime(n: int) -> bool:
 
 
 def is_prime_2q_plus_1(q: int) -> bool:
-    """Whether p = 2q + 1 is prime, for q already proven an odd prime.
+    """Whether p = 2q + 1 is prime, for q an odd prime (a BPSW probable
+    prime when q is above the deterministic bound of `is_prime`).
 
     Pocklington's criterion with witness 2: p - 1 = 2q with q prime and
     q > sqrt(p) - 1, so p is prime iff 2**(p-1) = 1 (mod p) and
-    gcd(2**2 - 1, p) = 1. This is a proof given q, at the cost of one
-    modular exponentiation.
+    gcd(2**2 - 1, p) = 1. This is a proof of p only if q is prime, at the
+    cost of one modular exponentiation.
     """
     p = 2 * q + 1
     return p % 3 != 0 and pow(2, p - 1, p) == 1

@@ -126,7 +126,8 @@ def test_reduction_at_cryptographic_size(pq):
 
     # 15 examples up to 512 bits; 4 at 1024 bits, where one takes about 0.2 s
     @settings(max_examples=15 if params.p.bit_length() <= 512 else 4, deadline=None)
-    @given(n=st.integers(0, 2 * params.p))
+    # unreduced n past pq (2^600 > pq at 256/512 bits); 2p spans the group at 1024
+    @given(n=st.integers(0, max(2**600, 2 * params.p)))
     def check(n):
         b0 = pow(a0, n, params.p)
         assume(gcd(b0, params.q) == 1)

@@ -1,6 +1,6 @@
 """Reduction of safe-prime discrete-log instances to linear congruence
-systems in two unknowns over coprime moduli, with the lift machinery,
-verification oracles, and a general multivariable-CRT solver behind it."""
+systems in two unknowns over coprime moduli, with the lift machinery, a
+subgroup discrete-log solver, and a general multivariable-CRT solver behind it."""
 
 from .arith import crt_pair, egcd, mod_inv
 from .lift import (
@@ -23,15 +23,12 @@ from .mcrt import (
 from .numtheory import (
     Factorization,
     SafePrimeParams,
-    carmichael_lambda,
-    euler_phi,
-    factorize,
     gen_safe_prime,
     is_prime,
     primitive_root,
 )
-from .oracle import CyclicContext, dlog_bruteforce, dlog_bsgs
-from .quotients import LiftProfile, fermat_quotient, lift_profile
+from .oracle import CyclicContext, dlog_bsgs
+from .quotients import LiftProfile, lift_profile
 from .reduction import (
     CongruenceSystem,
     DlogInstance,
@@ -61,18 +58,13 @@ __all__ = [
     "SolutionSet",
     "VerificationReport",
     "candidates_mod_group_order",
-    "carmichael_lambda",
     "carry_beta_p2",
     "carry_beta_pq",
     "check_lemma1",
     "check_lemma2",
     "crt_pair",
-    "dlog_bruteforce",
     "dlog_bsgs",
     "egcd",
-    "euler_phi",
-    "factorize",
-    "fermat_quotient",
     "gen_safe_prime",
     "is_prime",
     "lift_profile",

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import os
 import random
 import sys
 from contextlib import ExitStack
@@ -299,7 +300,7 @@ def nonnegative(text: str) -> int:
 
 # Largest p `gen` makes. On a 2-vCPU x86 host with Python 3.11, `gen --bits
 # 1024` took 7-40 s for seeds 1-3; at 1536 bits seed 1 took 150 s and seed 2
-# ran out of its 654400 draws after 171 s.
+# ran out of the 654400 draws gen_safe_prime then allowed after 171 s.
 GEN_MAX_BITS = 1024
 
 
@@ -453,14 +454,27 @@ def _run(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return _run(args)
-    except DlogCrtError as exc:
-        doc = {"error": {"code": exc.code, "message": str(exc)}}
-        # experiment's stdout is JSON lines, so its error is one more line
-        if args.command == "experiment":
-            print(_json_line(doc))
-        else:
-            _print_json(doc)
+        try:
+            code = _run(args)
+        except DlogCrtError as exc:
+            doc = {"error": {"code": exc.code, "message": str(exc)}}
+            # experiment's stdout is JSON lines, so its error is one more line
+            if args.command == "experiment":
+                print(_json_line(doc))
+            else:
+                _print_json(doc)
+            code = 1
+        sys.stdout.flush()
+        return code
+    except OSError as exc:
+        # a closed pipe or a full device, on stdout or on --out/--csv
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # stdout is broken: send what is still buffered, and the flush
+            # at interpreter exit, to the null device
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print(f"dlogcrt: error: cannot write output: {exc.strerror or exc}", file=sys.stderr)
         return 1
 
 

@@ -1,5 +1,5 @@
-"""Ground-truth discrete-log solvers: exhaustive search and baby-step
-giant-step. Used as verification oracles and by the end-to-end solver."""
+"""Baby-step giant-step discrete logs in a cyclic subgroup, the
+end-to-end solver's subgroup step."""
 
 from __future__ import annotations
 
@@ -8,9 +8,7 @@ from math import gcd, isqrt
 
 from .arith import mod_inv
 from .errors import InvalidInputError, OrderTooLargeError
-from .numtheory import Factorization
 
-_BRUTEFORCE_LIMIT = 10**7
 # Largest order dlog_bsgs accepts: its baby-step table holds ceil(sqrt(order))
 # entries, 2**24 at this bound, which still admits every p up to 48 bits.
 _BSGS_LIMIT = 2**48
@@ -20,8 +18,7 @@ _BSGS_LIMIT = 2**48
 class CyclicContext:
     """A cyclic subgroup: generator, ambient modulus, and group order.
 
-    Construction checks generator**order = 1 (mod modulus). Exactness of
-    the order can additionally be asserted via assert_exact_order.
+    Construction checks generator**order = 1 (mod modulus).
     """
 
     generator: int
@@ -39,31 +36,6 @@ class CyclicContext:
             raise InvalidInputError(
                 f"generator**{self.order} != 1 (mod {self.modulus})"
             )
-
-    def assert_exact_order(self, order_factors: Factorization) -> None:
-        """Check the order is exact: g**(order/r) != 1 for each prime r."""
-        if order_factors.value != self.order:
-            raise InvalidInputError("factorization does not multiply to the order")
-        for r in order_factors.primes:
-            if pow(self.generator, self.order // r, self.modulus) == 1:
-                raise InvalidInputError(
-                    f"generator order divides {self.order // r}; not exact"
-                )
-
-
-def dlog_bruteforce(ctx: CyclicContext, h: int) -> int | None:
-    """Smallest n >= 0 with g**n = h (mod m), or None. Guarded to small orders."""
-    if ctx.order > _BRUTEFORCE_LIMIT:
-        raise OrderTooLargeError(
-            f"order {ctx.order} exceeds brute-force limit {_BRUTEFORCE_LIMIT}"
-        )
-    h = h % ctx.modulus
-    x = 1
-    for n in range(ctx.order):
-        if x == h:
-            return n
-        x = x * ctx.generator % ctx.modulus
-    return None
 
 
 def dlog_bsgs(ctx: CyclicContext, h: int) -> int | None:

@@ -1,5 +1,5 @@
-"""Fermat quotients mod p and their composite-modulus generalization for
-safe-prime parameters, plus the carry-corrected lift digits.
+"""The composite-modulus generalization of the Fermat quotient for
+safe-prime parameters, and the carry-corrected lift digits.
 
 The generalized quotient q(x) is defined by
 
@@ -61,12 +61,6 @@ def _exact_quotient(numerator: int, divisor: int, context: str) -> int:
 def _fermat(r: int, power: int) -> int:
     """Fermat quotient (power - 1)/r mod r of power = x**(r-1) mod r**2."""
     return _exact_quotient(power - 1, r, "Fermat quotient") % r
-
-
-def fermat_quotient(p: int, x: int) -> int:
-    """Classical Fermat quotient ((x**(p-1) mod p**2) - 1) / p, canonical mod p."""
-    _require_unit(x, p, "base")
-    return _fermat(p, pow(x, p - 1, p * p))
 
 
 def _crt_m2(params: SafePrimeParams, r_p2: int, r_q2: int) -> int:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from dlogcrt import SafePrimeParams
+from dlogcrt import CyclicContext, Factorization, SafePrimeParams
 
 
 def sieve(limit: int) -> list[int]:
@@ -20,6 +20,39 @@ def sieve(limit: int) -> list[int]:
         if flags[i]:
             flags[i * i :: i] = bytearray(len(flags[i * i :: i]))
     return [i for i in range(limit) if flags[i]]
+
+
+def factorize(n: int) -> Factorization:
+    """Prime factorization of n >= 1 by trial division."""
+    factors = []
+    d = 2
+    while d * d <= n:
+        e = 0
+        while n % d == 0:
+            n //= d
+            e += 1
+        if e:
+            factors.append((d, e))
+        d += 1
+    if n > 1:
+        factors.append((n, 1))
+    return Factorization(tuple(factors))
+
+
+def dlog_bruteforce(ctx: CyclicContext, h: int) -> int | None:
+    """Smallest n >= 0 with g**n = h (mod m), or None, by walking the powers."""
+    h %= ctx.modulus
+    x = 1
+    for n in range(ctx.order):
+        if x == h:
+            return n
+        x = x * ctx.generator % ctx.modulus
+    return None
+
+
+def fermat_quotient(p: int, x: int) -> int:
+    """Classical Fermat quotient ((x**(p-1) mod p**2) - 1)/p, canonical mod p."""
+    return (pow(x, p - 1, p * p) - 1) // p % p
 
 
 PRIMES_1000 = sieve(1000)

@@ -13,9 +13,7 @@ from dlogcrt import (
     LinearEquation,
     LinearSystem,
     SafePrimeParams,
-    dlog_bruteforce,
     dlog_bsgs,
-    factorize,
     lift_profile,
     primitive_root,
     recover_index_mod_p2,
@@ -27,7 +25,7 @@ from dlogcrt import (
 )
 from dlogcrt.cli import sample_instance
 
-from conftest import sieve
+from conftest import dlog_bruteforce, factorize, sieve
 
 
 @contextmanager

@@ -1,10 +1,18 @@
 import csv
 import hashlib
+import io
 import json
+import os
 import random
+import subprocess
+import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import dlogcrt
 from dlogcrt import Factorization, cli, lift, oracle, primitive_root, quotients, reduction
@@ -227,6 +235,123 @@ class TestErrors:
             main(["experiment", "--count", "-3", "--seed", "1"])
         assert exc.value.code == 2
         assert capsys.readouterr().out == ""
+
+
+def _cli_process(unbuffered: bool, *argv: str, **popen) -> subprocess.Popen:
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    env.pop("PYTHONUNBUFFERED", None)
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = "1"
+    return subprocess.Popen(
+        [sys.executable, "-m", "dlogcrt.cli", *argv], env=env, stderr=subprocess.PIPE, **popen
+    )
+
+
+def _assert_one_write_error_line(proc: subprocess.Popen) -> None:
+    assert proc.wait(timeout=60) == 1
+    lines = proc.stderr.read().decode().splitlines()
+    proc.stderr.close()
+    assert len(lines) == 1, lines
+    assert lines[0].startswith("dlogcrt: error: cannot write output: "), lines
+
+
+@pytest.mark.parametrize("unbuffered", [False, True], ids=["buffered", "unbuffered"])
+class TestWriteErrors:
+    def test_closed_pipe_exits_1_with_one_line(self, unbuffered):
+        proc = _cli_process(
+            unbuffered, "experiment", "--count", "2000", "--seed", "1", stdout=subprocess.PIPE
+        )
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        _assert_one_write_error_line(proc)
+        assert json.loads(first)["id"] == "0"
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_stdout_exits_1_with_one_line(self, unbuffered):
+        with open("/dev/full", "w") as full:
+            proc = _cli_process(
+                unbuffered,
+                "verify", "--p", "11", "--q", "5", "--a0", "2", "--b0", "4", "--n", "2",
+                stdout=full,
+            )
+        _assert_one_write_error_line(proc)
+
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    @pytest.mark.parametrize("flag", ["--out", "--csv"])
+    def test_full_output_file_exits_1_with_one_line(self, unbuffered, flag):
+        argv = ["experiment", "--count", "20", "--seed", "1", flag, "/dev/full"]
+        proc = _cli_process(unbuffered, *argv, stdout=subprocess.DEVNULL)
+        _assert_one_write_error_line(proc)
+
+
+# Desk-scale argv for every subcommand: valid groups or small ints, and now
+# and then one flag left out
+_SMALL = st.integers(-20, 1000)
+_GROUPS = [(7, 3), (11, 5), (23, 11), (983, 491)]
+
+
+@st.composite
+def cli_argv(draw) -> list[str]:
+    command = draw(
+        st.sampled_from(
+            ["gen", "quotient", "reduce", "verify", "solve", "recover-p2", "experiment", "explain"]
+        )
+    )
+    if command == "gen":
+        opts = {"--bits": draw(st.integers(-3, 40)), "--seed": draw(_SMALL)}
+    elif command == "recover-p2":
+        p = draw(st.one_of(st.sampled_from([p for p, _ in _GROUPS]), _SMALL))
+        opts = {"--p": p, "--a0": draw(_SMALL), "--X": draw(_SMALL)}
+    elif command == "experiment":
+        opts = {
+            "--count": draw(st.integers(-1, 3)),
+            "--qmin": draw(st.integers(-5, 600)),
+            "--qmax": draw(st.integers(-5, 600)),
+            "--seed": draw(_SMALL),
+        }
+    else:
+        p, q = draw(st.sampled_from(_GROUPS + [None])) or draw(st.tuples(_SMALL, _SMALL))
+        opts = {"--p": p, "--q": q}
+        if command == "quotient":
+            opts["--x"] = draw(_SMALL)
+        else:
+            a0, n = draw(_SMALL), draw(_SMALL)
+            # b0 = a0**n (mod p) often enough to reach the exit-0 paths
+            power = st.just(pow(a0, n, p)) if p > 1 and n >= 0 else _SMALL
+            opts.update({"--a0": a0, "--b0": draw(st.one_of(power, _SMALL))})
+            if command in ("verify", "explain"):
+                opts["--n"] = n
+    dropped = draw(st.sampled_from([None] * 8 + list(opts)))
+    argv = [command]
+    for flag, value in opts.items():
+        if flag != dropped:
+            argv += [flag, str(value)]
+    return argv
+
+
+@settings(max_examples=300, deadline=None)
+@given(cli_argv())
+def test_cli_contract(argv):
+    """Every run exits 0, 1 or 2 with nothing else escaping, and leaves one
+    JSON document (JSON lines for experiment, text for a successful explain)
+    on stdout, or nothing on a usage error."""
+    out = io.StringIO()
+    with redirect_stdout(out), redirect_stderr(io.StringIO()):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    text = out.getvalue()
+    assert code in (0, 1, 2), (argv, code)
+    if code == 2:
+        assert text == "", argv
+    elif argv[0] == "experiment":
+        for line in text.splitlines():
+            json.loads(line)
+    elif argv[0] == "explain" and code == 0:
+        assert text.startswith("instance: "), argv
+    else:
+        json.loads(text)
 
 
 class TestDeterminism:

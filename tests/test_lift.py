@@ -9,7 +9,7 @@ from dlogcrt import (
     carry_beta_pq,
     check_lemma1,
     check_lemma2,
-    fermat_quotient,
+    primitive_root,
     recover_index_mod_p2,
     teichmuller_digit,
 )
@@ -21,7 +21,7 @@ from dlogcrt.errors import (
     ZeroDigitError,
 )
 
-from conftest import DIFFERENTIAL_GROUPS, sieve
+from conftest import DIFFERENTIAL_GROUPS, factorize, fermat_quotient, sieve
 
 
 class TestTeichmullerDigit:
@@ -106,8 +106,6 @@ class TestRecoverIndex:
 
 def _smallest_usable_root(p: int) -> int:
     """Smallest primitive root of p whose first lift digit is nonzero."""
-    from dlogcrt import factorize, primitive_root
-
     f = factorize(p - 1)
     for g in range(primitive_root(p, f), p):
         if all(pow(g, (p - 1) // r, p) != 1 for r in f.primes):

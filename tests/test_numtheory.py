@@ -3,15 +3,10 @@ import random
 import re
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from dlogcrt import (
     Factorization,
     SafePrimeParams,
-    carmichael_lambda,
-    euler_phi,
-    factorize,
     gen_safe_prime,
     is_prime,
     primitive_root,
@@ -26,7 +21,7 @@ from dlogcrt.numtheory import (
 from sympy import isprime, nextprime
 from sympy.ntheory.primetest import is_strong_lucas_prp
 
-from conftest import PRIMES_1000, sieve
+from conftest import PRIMES_1000, factorize, sieve
 
 # The strong Lucas pseudoprimes below 60000 (Selfridge method A parameters)
 STRONG_LUCAS_PSEUDOPRIMES = (
@@ -142,45 +137,12 @@ class TestFactorization:
         assert Factorization(()).value == 1
 
     def test_factorize_round_trip(self):
+        # the test-local trial division the primitive-root scans rely on
+        primes = set(sieve(2000))
         for n in range(1, 2000):
             f = factorize(n)
             assert f.value == n
-            assert all(is_prime(p) for p in f.primes)
-
-
-def _brute_unit_group_exponent(n: int) -> int:
-    """Smallest divisor e of the counted phi(n) with a**e = 1 (mod n) for
-    every unit a."""
-    units = [a for a in range(1, n) if math.gcd(a, n) == 1]
-    for e in range(1, len(units) + 1):
-        if len(units) % e == 0 and all(pow(a, e, n) == 1 for a in units):
-            return e
-
-
-class TestPhiAndLambda:
-    def test_phi_examples(self):
-        assert euler_phi(factorize(3025)) == 2200
-        assert euler_phi(Factorization(())) == 1
-        assert euler_phi(factorize(5)) == 4
-
-    def test_lambda_examples(self):
-        assert carmichael_lambda(factorize(4)) == 2
-        assert carmichael_lambda(factorize(3025)) == 220
-        assert carmichael_lambda(factorize(8)) == 2
-
-    def test_lambda_against_brute_force(self):
-        for n in range(2, 1200):
-            assert carmichael_lambda(factorize(n)) == _brute_unit_group_exponent(n), n
-
-    def test_phi_against_coprime_count(self):
-        for n in range(1, 1200):
-            count = sum(1 for a in range(1, n + 1) if math.gcd(a, n) == 1)
-            assert euler_phi(factorize(n)) == count, n
-
-    @given(st.integers(2, 10**6))
-    def test_lambda_divides_phi(self, n):
-        f = factorize(n)
-        assert euler_phi(f) % carmichael_lambda(f) == 0
+            assert all(p in primes for p in f.primes)
 
 
 class TestSafePrimeParams:
@@ -289,13 +251,13 @@ class TestGenSafePrime:
 
 class TestPrimitiveRoot:
     def test_examples(self):
-        assert primitive_root(11) == 2
-        assert primitive_root(7) == 3
-        assert primitive_root(23) == 5
+        assert primitive_root(11, factorize(10)) == 2
+        assert primitive_root(7, factorize(6)) == 3
+        assert primitive_root(23, factorize(22)) == 5
 
     def test_rejects_two(self):
         with pytest.raises(DegenerateModulusError):
-            primitive_root(2)
+            primitive_root(2, factorize(1))
 
     def test_rejects_bad_factorization(self):
         with pytest.raises(InvalidInputError):
@@ -306,7 +268,7 @@ class TestPrimitiveRoot:
         for p in sieve(10_000):
             if p == 2:
                 continue
-            g = primitive_root(p)
+            g = primitive_root(p, factorize(p - 1))
             x, k = g, 1
             while x != 1:
                 x = x * g % p
@@ -315,8 +277,8 @@ class TestPrimitiveRoot:
 
     def test_smallest_root_returned(self):
         for p in PRIMES_1000[1:40]:
-            g = primitive_root(p)
             f = factorize(p - 1)
+            g = primitive_root(p, f)
             for smaller in range(2, g):
                 assert any(
                     pow(smaller, (p - 1) // r, p) == 1 for r in f.primes

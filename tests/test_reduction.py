@@ -33,7 +33,7 @@ def make_instance(q: int, n: int) -> DlogInstance | None:
     """Instance over p = 2q + 1 with the smallest primitive root, or None
     when a coprimality hypothesis fails for this draw."""
     params = SafePrimeParams(2 * q + 1, q)
-    a0 = primitive_root(params.p)
+    a0 = primitive_root(params.p, Factorization(((2, 1), (q, 1))))
     if gcd(a0, q) != 1:
         return None
     b0 = pow(a0, n, params.p)

@@ -130,12 +130,14 @@ def transform(instance: DlogInstance) -> CongruenceSystem:
 
 
 def subgroup_index_mod_q(instance: DlogInstance) -> int:
-    """Index n mod q, recovered inside the order-q subgroup of units mod pq
-    generated by A = base**(q-1): the unique n_q with A**n_q = B (mod pq)."""
-    params = instance.params
-    a_res = pow(instance.base, params.q - 1, params.m1)
-    b_res = pow(instance.target, params.q - 1, params.m1)
-    ctx = CyclicContext(generator=a_res, modulus=params.m1, order=params.q)
+    """Index n mod q, recovered inside the order-q subgroup generated by
+    A = base**(q-1): the unique n_q with A**n_q = B (mod pq). The log is
+    taken mod p, which gives the same n_q: A and B are 1 mod q by Fermat,
+    so A**n = B holds mod pq exactly when it holds mod p."""
+    p, q = instance.params.p, instance.params.q
+    a_res = pow(instance.base, q - 1, p)
+    b_res = pow(instance.target, q - 1, p)
+    ctx = CyclicContext(generator=a_res, modulus=p, order=q)
     n_q = dlog_bsgs(ctx, b_res)
     if n_q is None:
         raise NoSolutionError(

@@ -1,11 +1,45 @@
 import random
+import sys
+import threading
+import time
+from collections import OrderedDict
 
 import pytest
+from sympy.ntheory import discrete_log
 
-from dlogcrt import CyclicContext, dlog_bsgs, primitive_root
+from dlogcrt import CyclicContext, Factorization, dlog_bsgs, oracle, primitive_root
 from dlogcrt.errors import InvalidInputError, OrderTooLargeError
 
-from conftest import dlog_bruteforce, factorize, sieve
+from conftest import SAFE_QS, dlog_bruteforce, factorize, sieve
+
+
+@pytest.fixture
+def tables(monkeypatch):
+    """A fresh, empty table cache for one test."""
+    fresh = oracle._Tables()
+    monkeypatch.setattr(oracle, "_tables", fresh)
+    return fresh
+
+
+def subgroup(q: int) -> tuple[int, int, int]:
+    """(p, A mod p, A mod pq) for p = 2q + 1 and A = a0**(q-1), a0 the
+    smallest primitive root: A generates the order-q subgroup mod p and
+    mod pq."""
+    p = 2 * q + 1
+    a0 = primitive_root(p, Factorization(((2, 1), (q, 1))))
+    return p, pow(a0, q - 1, p), pow(a0, q - 1, p * q)
+
+
+class YieldingDict(OrderedDict):
+    """An OrderedDict that lets other threads run inside each eviction."""
+
+    def popitem(self, last=True):
+        time.sleep(0)
+        return super().popitem(last)
+
+
+def held_entries(tables) -> int:
+    return sum(len(baby) for _, baby, _ in tables.by_group.values())
 
 
 class TestCyclicContext:
@@ -87,3 +121,128 @@ class TestBsgs:
         ctx = CyclicContext(16, 55, 5)
         for n in range(5):
             assert dlog_bsgs(ctx, pow(16, n, 55)) == n
+
+
+class TestBsgsDifferential:
+    """dlog_bsgs against sympy and the brute-force reference on the order-q
+    subgroup of every SAFE_QS group, mod p and mod pq, over all of [0, q)."""
+
+    @pytest.mark.parametrize("q", SAFE_QS)
+    def test_subgroup_cold_then_warm(self, q, tables, monkeypatch):
+        p, a_p, a_pq = subgroup(q)
+        for m, a in ((p, a_p), (p * q, a_pq)):
+            ctx = CyclicContext(a, m, q)
+            targets = [pow(a, n, m) for n in range(q)]
+            want = [discrete_log(m, h, a) for h in targets]
+            assert want == list(range(q))
+            assert want == [dlog_bruteforce(ctx, h) for h in targets]
+            with monkeypatch.context() as cold:
+                cold.setattr(oracle, "_TABLE_ENTRIES", 0)  # nothing is kept
+                assert [dlog_bsgs(ctx, h) for h in targets] == want
+            assert (a, m, q) not in tables.by_group
+            assert [dlog_bsgs(ctx, h) for h in targets] == want
+            assert (a, m, q) in tables.by_group
+            assert [dlog_bsgs(ctx, h) for h in targets] == want
+            assert dlog_bsgs(ctx, m - 1) is None  # -1 has order 2
+
+    @pytest.mark.parametrize("q", SAFE_QS)
+    def test_claimed_order_multiple_gives_smallest_exponent(self, q, tables):
+        # at 8*q**2 the table (about 1.4*q entries) holds each power twice
+        p, a_p, a_pq = subgroup(q)
+        for m, a in ((p, a_p), (p * q, a_pq)):
+            for order in (2 * q, (q - 1) * q, 8 * q * q):
+                ctx = CyclicContext(a, m, order)
+                for n in range(q):
+                    h = pow(a, n, m)
+                    assert dlog_bsgs(ctx, h) == n == dlog_bruteforce(ctx, h), (m, order, n)
+
+    def test_full_group_with_claimed_multiple(self, tables):
+        for p in (11, 23, 101, 227):
+            g = primitive_root(p, factorize(p - 1))
+            ctx = CyclicContext(g, p, 4 * (p - 1) ** 2)  # p - 1 table entries
+            for h in range(1, p):
+                assert dlog_bsgs(ctx, h) == discrete_log(p, h, g) == dlog_bruteforce(ctx, h)
+
+
+class TestTableCache:
+    def test_second_target_builds_no_table(self, tables, monkeypatch):
+        built = []
+        baby_steps = oracle._baby_steps
+        monkeypatch.setattr(
+            oracle, "_baby_steps", lambda *args: built.append(args) or baby_steps(*args)
+        )
+        p, a, _ = subgroup(491)
+        ctx = CyclicContext(a, p, 491)
+        assert dlog_bsgs(ctx, pow(a, 100, p)) == 100
+        assert dlog_bsgs(ctx, pow(a, 7, p)) == 7
+        assert dlog_bsgs(CyclicContext(a, p, 491), pow(a, 300, p)) == 300
+        assert built == [(a, p, 491)]
+        assert list(tables.by_group) == [(a, p, 491)]
+        assert tables.entries == 12  # ceil(sqrt(491) / 2)
+
+    def test_held_entries_stay_within_bound(self, tables, monkeypatch):
+        monkeypatch.setattr(oracle, "_TABLE_ENTRIES", 40)
+        rng = random.Random(11)
+        for _ in range(200):
+            q = rng.choice(SAFE_QS)
+            p, a, _ = subgroup(q)
+            n = rng.randrange(q)
+            assert dlog_bsgs(CyclicContext(a, p, q), pow(a, n, p)) == n
+            assert tables.entries == held_entries(tables) <= 40
+        assert len(tables.by_group) > 1
+
+    def test_table_over_bound_is_not_kept(self, tables, monkeypatch):
+        monkeypatch.setattr(oracle, "_TABLE_ENTRIES", 11)
+        small_p, small_a, _ = subgroup(5)
+        assert dlog_bsgs(CyclicContext(small_a, small_p, 5), pow(small_a, 3, small_p)) == 3
+        p, a, _ = subgroup(491)  # a 12-entry table
+        for n in (0, 1, 245, 490):
+            assert dlog_bsgs(CyclicContext(a, p, 491), pow(a, n, p)) == n
+        assert list(tables.by_group) == [(small_a, small_p, 5)]
+        assert tables.entries == 2
+
+    def test_oldest_tables_are_evicted_first(self, tables, monkeypatch):
+        # tables of 3, 5, 6 and 8 entries against a bound of 16
+        monkeypatch.setattr(oracle, "_TABLE_ENTRIES", 16)
+        keys = []
+        for q in (23, 83, 131, 239):
+            p, a, _ = subgroup(q)
+            assert dlog_bsgs(CyclicContext(a, p, q), pow(a, q - 1, p)) == q - 1
+            keys.append((a, p, q))
+        assert list(tables.by_group) == keys[2:]
+        assert tables.entries == 14
+        p, a, _ = subgroup(83)
+        dlog_bsgs(CyclicContext(a, p, 83), a)
+        assert list(tables.by_group) == [keys[3], keys[1]]
+        assert tables.entries == 13
+
+    def test_threads_keep_the_count_exact(self, tables, monkeypatch):
+        # more threads than cores, switching often and inside every
+        # eviction, against a bound that forces evictions: every result is
+        # right and the running count matches the tables held
+        monkeypatch.setattr(oracle, "_TABLE_ENTRIES", 30)
+        tables.by_group = YieldingDict()
+        groups = [subgroup(q)[:2] + (q,) for q in SAFE_QS]
+        wrong = []
+
+        def work(seed):
+            rng = random.Random(seed)
+            for _ in range(150):
+                p, a, q = rng.choice(groups)
+                n = rng.randrange(q)
+                if dlog_bsgs(CyclicContext(a, p, q), pow(a, n, p)) != n:
+                    wrong.append((p, n))
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(seed,)) for seed in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert wrong == []
+        assert tables.entries == held_entries(tables) <= 30

@@ -17,6 +17,7 @@ from dlogcrt import (
     candidates_mod_group_order,
     carry_beta_pq,
     check_lemma2,
+    gen_safe_prime,
     primitive_root,
     solve_small,
     solve_system,
@@ -194,6 +195,22 @@ class TestSolveSmall:
             ]
             assert len(hits) == 1
             assert hits[0] == inst.known_index % inst.params.group_order
+
+    @pytest.mark.parametrize("bits", range(28, 33))
+    def test_round_trip_on_generated_groups(self, bits):
+        # many targets per group, so all but the first reuse its kept table
+        params = gen_safe_prime(bits, seed=bits)
+        p, q = params.p, params.q
+        a0 = primitive_root(p, Factorization(((2, 1), (q, 1))))
+        rng = random.Random(bits)
+        for _ in range(40):
+            n = rng.randrange(p - 1)
+            b0 = pow(a0, n, p)
+            if gcd(b0, q) != 1:
+                continue
+            found = solve_small(DlogInstance(params, a0, b0))
+            assert found == n
+            assert pow(a0, found, p) == b0
 
 
 class TestVerifyInstance:

@@ -17,6 +17,7 @@ import os
 import random
 import sys
 from contextlib import ExitStack
+from functools import lru_cache
 from math import gcd
 from typing import Iterator
 
@@ -27,7 +28,6 @@ from .numtheory import (
     SafePrimeParams,
     gen_safe_prime,
     is_prime,
-    is_prime_2q_plus_1,
     primitive_root,
 )
 from .quotients import lift_profile
@@ -80,7 +80,7 @@ def system_document(system: CongruenceSystem) -> dict:
 
 def report_document(report: VerificationReport) -> dict:
     """Flat record of a verification run: inputs, every intermediate value,
-    and the pass/fail flags. Records round-trip through record_instance."""
+    and the pass/fail flags."""
     inst, lemma2 = report.instance, report.lemma2
     prof_a, prof_b = lemma2.profile_a, lemma2.profile_b
     return {
@@ -115,17 +115,6 @@ def report_document(report: VerificationReport) -> dict:
     }
 
 
-def record_instance(record: dict) -> DlogInstance:
-    """Rebuild the instance a record was derived from (for re-verification)."""
-    params = SafePrimeParams(int(record["p"]), int(record["q"]))
-    return DlogInstance(
-        params=params,
-        base=int(record["a0"]),
-        target=int(record["b0"]),
-        known_index=int(record["n"]),
-    )
-
-
 def _rand_below(rng: random.Random, n: int) -> int:
     """Uniform draw from [0, n) by rejection on getrandbits; stable across
     Python versions, unlike randrange for some argument shapes."""
@@ -140,18 +129,19 @@ def _rand_below(rng: random.Random, n: int) -> int:
 
 Group = tuple[SafePrimeParams, int]
 
-# Most q values one experiment run remembers. Past it, groups of new q
-# values are derived on every draw and not stored, so a run's memory does
-# not grow with --count or with the width of the q range.
+# Most groups the sampler remembers; past it the least recently drawn q is
+# forgotten, so memory does not grow with --count or the width of the q range.
 GROUP_CACHE_LIMIT = 4096
 
 
+@lru_cache(maxsize=GROUP_CACHE_LIMIT)
 def _group(q: int) -> Group | None:
     """Parameters over p = 2q + 1 and their smallest primitive root, or None
     when q is not a usable subgroup prime."""
-    if not is_prime(q) or not is_prime_2q_plus_1(q):
+    try:
+        params = SafePrimeParams(2 * q + 1, q)
+    except InvalidInputError:
         return None
-    params = SafePrimeParams(2 * q + 1, q)
     base = primitive_root(params.p, Factorization(((2, 1), (q, 1))))
     if gcd(base, q) != 1:
         return None
@@ -163,28 +153,18 @@ def sample_instance(
     qmin: int,
     qmax: int,
     max_draws: int = 100_000,
-    groups: dict[int, Group | None] | None = None,
 ) -> DlogInstance:
     """Draw one verifiable instance: q prime in [qmin, qmax] with 2q + 1
     prime, the smallest primitive root as base, n uniform in [0, p - 2],
     and target = base**n mod p. Draws whose base or target shares a factor
-    with q are skipped, mirroring the coprimality hypotheses.
-
-    groups maps each q seen so far to its group (None when rejected); pass
-    the same dict across calls to derive each group once. Caching does not
-    change how rng is consumed, so the draws are the same either way."""
+    with q are skipped, mirroring the coprimality hypotheses. Each q's group
+    comes from the bounded cache of _group, which consumes no random
+    numbers, so the draws are the same whether it hits or not."""
     if not 3 <= qmin <= qmax:
         raise SearchExhaustedError(f"bad subgroup prime range [{qmin}, {qmax}]")
-    if groups is None:
-        groups = {}
     for _ in range(max_draws):
         q = qmin + _rand_below(rng, qmax - qmin + 1)
-        if q in groups:
-            group = groups[q]
-        else:
-            group = _group(q)
-            if len(groups) < GROUP_CACHE_LIMIT:
-                groups[q] = group
+        group = _group(q)
         if group is None:
             continue
         params, base = group
@@ -203,9 +183,8 @@ def run_experiment(
 ) -> Iterator[tuple[int, dict]]:
     """Yield (id, record) pairs, deterministically in (count, range, seed)."""
     rng = random.Random(seed)
-    groups: dict[int, Group | None] = {}
     for i in range(count):
-        instance = sample_instance(rng, qmin, qmax, groups=groups)
+        instance = sample_instance(rng, qmin, qmax)
         record = report_document(verify_instance(instance))
         record["id"] = str(i)
         yield i, record
@@ -266,7 +245,7 @@ def _explain_lines(report: VerificationReport) -> list[str]:
     for part in report.system.parts:
         lines.append(
             f"    beta + {part.index_coeff}*n = {part.constant}"
-            f" (mod {part.modulus})   [{mark(part.satisfied_by(beta, n))}]"
+            f" (mod {part.modulus})   [{mark(part.satisfied_by((beta, n)))}]"
         )
     lines += [
         "",

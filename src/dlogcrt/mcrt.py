@@ -78,6 +78,9 @@ class LinearSystem:
     def modulus(self) -> int:
         return prod(eq.modulus for eq in self.equations)
 
+    def satisfied_by(self, point: Point) -> bool:
+        return all(eq.satisfied_by(point) for eq in self.equations)
+
 
 def _column_reduce(coeffs: list[int]) -> tuple[int, list[list[int]]]:
     """Integer column reduction: returns (g0, U) with U unimodular and
@@ -120,7 +123,7 @@ class SolutionSet:
         return 0 if self.empty else prod(self.cycles)
 
     def contains(self, point: Point) -> bool:
-        return all(eq.satisfied_by(point) for eq in self.system.equations)
+        return self.system.satisfied_by(point)
 
     def enumerate(self, limit: int) -> list[Point]:
         """All solutions mod the product modulus, lexicographically sorted,

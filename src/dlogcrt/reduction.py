@@ -6,10 +6,13 @@ end-to-end solver built on it."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import reduce
 from math import gcd
 
+from .arith import crt_pair
 from .errors import InvalidInstanceError, NoSolutionError, PreconditionError
 from .lift import Lemma2Report, _linear_coefficients, check_lemma1, check_lemma2
+from .mcrt import LinearEquation, LinearSystem
 from .numtheory import SafePrimeParams
 from .oracle import CyclicContext, dlog_bsgs
 from .quotients import lift_profile
@@ -46,75 +49,46 @@ class DlogInstance:
                 )
 
 
-@dataclass(frozen=True)
-class LinearCongruence:
-    """u*beta + v*n = w (mod m), coefficients canonical."""
+class LinearCongruence(LinearEquation):
+    """u*beta + v*n = w (mod m): a linear equation in the two unknowns
+    (beta, n), with coeffs = (u, v)."""
 
-    beta_coeff: int
-    index_coeff: int
-    constant: int
-    modulus: int
+    @property
+    def beta_coeff(self) -> int:
+        return self.coeffs[0]
 
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise InvalidInstanceError(f"modulus must be >= 2, got {self.modulus}")
-        for f in ("beta_coeff", "index_coeff", "constant"):
-            object.__setattr__(self, f, getattr(self, f) % self.modulus)
+    @property
+    def index_coeff(self) -> int:
+        return self.coeffs[1]
 
-    def satisfied_by(self, beta: int, n: int) -> bool:
-        return (
-            self.beta_coeff * beta + self.index_coeff * n - self.constant
-        ) % self.modulus == 0
 
-    def reduced(self, modulus: int) -> "LinearCongruence":
-        if self.modulus % modulus != 0:
-            raise InvalidInstanceError(
-                f"{modulus} does not divide the modulus {self.modulus}"
+class CongruenceSystem(LinearSystem):
+    """Congruences in (beta, n) over pairwise coprime moduli, the parts of
+    one master congruence mod their product."""
+
+    @property
+    def parts(self) -> tuple[LinearCongruence, ...]:
+        return self.equations
+
+    @property
+    def master(self) -> LinearCongruence:
+        """The parts recombined into one congruence mod their product: the
+        CRT of each coefficient and of the constant."""
+
+        def recombine(x: LinearCongruence, y: LinearCongruence) -> LinearCongruence:
+            *coeffs, constant = (
+                crt_pair(a, x.modulus, b, y.modulus)
+                for a, b in zip((*x.coeffs, x.constant), (*y.coeffs, y.constant))
             )
-        return LinearCongruence(
-            self.beta_coeff % modulus,
-            self.index_coeff % modulus,
-            self.constant % modulus,
-            modulus,
-        )
+            return LinearCongruence(tuple(coeffs), constant, x.modulus * y.modulus)
 
-
-@dataclass(frozen=True)
-class CongruenceSystem:
-    """A master congruence mod pq together with its reductions mod the
-    pairwise-coprime factors."""
-
-    master: LinearCongruence
-    parts: tuple[LinearCongruence, ...]
-
-    def __post_init__(self):
-        product = 1
-        for i, part in enumerate(self.parts):
-            product *= part.modulus
-            for other in self.parts[i + 1 :]:
-                if gcd(part.modulus, other.modulus) != 1:
-                    raise InvalidInstanceError("part moduli must be coprime")
-            if part != self.master.reduced(part.modulus):
-                raise InvalidInstanceError(
-                    f"part mod {part.modulus} is not the reduced master"
-                )
-        if product != self.master.modulus:
-            raise InvalidInstanceError(
-                "part moduli must multiply to the master modulus"
-            )
-
-    def satisfied_by(self, beta: int, n: int) -> bool:
-        return self.master.satisfied_by(beta, n) and all(
-            part.satisfied_by(beta, n) for part in self.parts
-        )
+        return reduce(recombine, self.parts)
 
 
 def _master_system(params: SafePrimeParams, c: int, d: int) -> CongruenceSystem:
-    """beta + c*n = d (mod pq) with its reductions mod p and mod q."""
-    master = LinearCongruence(1, c, d, params.m1)
+    """beta + c*n = d (mod pq), as its parts mod p and mod q."""
     return CongruenceSystem(
-        master=master,
-        parts=(master.reduced(params.p), master.reduced(params.q)),
+        2, tuple(LinearCongruence((1, c), d, m) for m in (params.p, params.q))
     )
 
 
@@ -230,7 +204,7 @@ def _verify(instance: DlogInstance) -> VerificationReport:
         system=system,
         lemma2=lemma2,
         lemma1_ok=lemma1_ok,
-        parts_ok=all(part.satisfied_by(lemma2.beta, n) for part in system.parts),
+        parts_ok=system.satisfied_by((lemma2.beta, n)),
         subgroup_index=n_q,
         candidates=candidates,
         recovered_index=recovered,

@@ -10,7 +10,6 @@ from math import gcd
 from dlogcrt import (
     CyclicContext,
     DlogInstance,
-    LinearEquation,
     LinearSystem,
     SafePrimeParams,
     dlog_bsgs,
@@ -182,9 +181,9 @@ def test_criterion_6_mcrt_oracle_equivalence():
             assert sol.count == len(expected)
             assert sol.enumerate(m**r) == expected
 
-        parts = solve_system(
-            LinearSystem(2, (LinearEquation((1, 1), 6, 11), LinearEquation((1, 2), 3, 5)))
-        )
+        # the golden system of criterion 1: its parts and its master
+        system = transform(DlogInstance(SafePrimeParams(11, 5), 2, 4))
+        parts = solve_system(system)
         assert parts.count == 55
-        master = solve_system(LinearSystem(2, (LinearEquation((1, 12), 28, 55),)))
+        master = solve_system(LinearSystem(2, (system.master,)))
         assert master.enumerate(55) == parts.enumerate(55)

@@ -15,12 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dlogcrt
-from dlogcrt import Factorization, cli, lift, oracle, primitive_root, quotients, reduction
-from dlogcrt import verify_instance
+from dlogcrt import Factorization, cli, lift, numtheory, oracle, primitive_root, quotients, reduction
+from dlogcrt import DlogInstance, SafePrimeParams, verify_instance
 from dlogcrt.cli import (
     GROUP_CACHE_LIMIT,
     main,
-    record_instance,
     report_document,
     sample_instance,
 )
@@ -412,7 +411,11 @@ class TestExperiment:
             record = json.loads(line)
             assert record["id"] == str(i)
             # every emitted record re-verifies from its inputs alone
-            rebuilt = report_document(verify_instance(record_instance(record)))
+            params = SafePrimeParams(int(record["p"]), int(record["q"]))
+            instance = DlogInstance(
+                params, int(record["a0"]), int(record["b0"]), known_index=int(record["n"])
+            )
+            rebuilt = report_document(verify_instance(instance))
             rebuilt["id"] = record["id"]
             assert rebuilt == record
             assert record["lemma1_ok"] and record["lemma2_corrected_ok"]
@@ -450,15 +453,45 @@ class TestExperiment:
         assert code == 1
         assert json.loads(out)["error"]["code"] == "search-exhausted"
 
-    def test_group_cache_is_bounded_and_changes_no_draw(self):
+    def test_group_cache_is_bounded_and_changes_no_draw(self, monkeypatch):
         # a q range far wider than the cache: it fills, stops growing, and
         # every draw matches a sampler that remembers nothing
         qmin, qmax = 3, 10**7
-        cached_rng, fresh_rng = random.Random(8), random.Random(8)
-        groups = {}
+        cli._group.cache_clear()
+        rng = random.Random(8)
+        cached = []
         for _ in range(60):
-            cached = sample_instance(cached_rng, qmin, qmax, groups=groups)
-            fresh = sample_instance(fresh_rng, qmin, qmax)
-            assert cached == fresh
-            assert len(groups) <= GROUP_CACHE_LIMIT
-        assert len(groups) == GROUP_CACHE_LIMIT
+            cached.append(sample_instance(rng, qmin, qmax))
+            assert cli._group.cache_info().currsize <= GROUP_CACHE_LIMIT
+        assert cli._group.cache_info().currsize == GROUP_CACHE_LIMIT
+        monkeypatch.setattr(cli, "_group", cli._group.__wrapped__)
+        rng = random.Random(8)
+        assert [sample_instance(rng, qmin, qmax) for _ in range(60)] == cached
+
+    def test_new_group_proves_q_twice_and_p_once(self, monkeypatch):
+        # SafePrimeParams tests q and proves p = 2q + 1; Factorization tests
+        # q again. A group already drawn derives nothing.
+        q = 491
+        calls = {"is_prime": [], "is_prime_2q_plus_1": []}
+
+        def counted(name, fn):
+            def wrapper(n):
+                calls[name].append(n)
+                return fn(n)
+
+            return wrapper
+
+        for name in calls:
+            wrapped = counted(name, getattr(numtheory, name))
+            for module in (numtheory, cli):
+                if hasattr(module, name):
+                    monkeypatch.setattr(module, name, wrapped)
+
+        cli._group.cache_clear()
+        group = cli._group(q)
+        assert group is not None and group[0].p == 2 * q + 1
+        assert calls["is_prime"].count(q) == 2
+        assert calls["is_prime_2q_plus_1"] == [q]
+        assert cli._group(q) is group
+        assert calls["is_prime"].count(q) == 2
+        assert calls["is_prime_2q_plus_1"] == [q]

@@ -85,6 +85,12 @@ class TestSolveSystem:
         assert solutions.count == 55
         assert solutions.contains((4, 2))
 
+    def test_satisfied_by_needs_every_equation(self):
+        system = self.golden_system()
+        assert system.satisfied_by((4, 2))
+        assert not system.satisfied_by((6, 0))  # holds mod 11 only
+        assert not system.satisfied_by((3, 0))  # holds mod 5 only
+
     def test_golden_members_satisfy_master(self):
         solutions = solve_system(self.golden_system())
         points = solutions.enumerate(100)

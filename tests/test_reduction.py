@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 import dlogcrt
 from dlogcrt import lift, oracle, quotients, reduction
 from dlogcrt import (
+    CongruenceSystem,
     DlogInstance,
     Factorization,
-    LinearEquation,
+    LinearCongruence,
     LinearSystem,
     SafePrimeParams,
     candidates_mod_group_order,
@@ -19,13 +20,14 @@ from dlogcrt import (
     check_lemma2,
     gen_safe_prime,
     primitive_root,
+    solve_single,
     solve_small,
     solve_system,
     subgroup_index_mod_q,
     transform,
     verify_instance,
 )
-from dlogcrt.errors import InvalidInstanceError, PreconditionError
+from dlogcrt.errors import InvalidInstanceError, InvalidSystemError, PreconditionError
 
 from conftest import CRYPTO_GROUPS, SAFE_QS
 
@@ -102,14 +104,14 @@ class TestTransform:
         inst = DlogInstance(golden, 2, 2, known_index=1)
         system = transform(inst)
         beta = carry_beta_pq(golden, 2, 2, 1).beta
-        assert system.satisfied_by(beta, 1)
+        assert system.satisfied_by((beta, 1))
 
     def test_soundness_on_random_instances(self):
         for inst in random_instances(SAFE_QS[:6], 40, seed=2):
             system = transform(inst)
             n = inst.known_index
             beta = carry_beta_pq(inst.params, inst.base, inst.target, n).beta
-            assert system.satisfied_by(beta, n), (inst.params.p, inst.base, inst.target, n)
+            assert system.satisfied_by((beta, n)), (inst.params.p, inst.base, inst.target, n)
 
 
 @cache
@@ -140,11 +142,7 @@ def test_reduction_at_cryptographic_size(pq):
         )
         assert lemma2.eq19_corrected_ok == lemma2.linear_congruence_ok
         assert lemma2.corrected_ok
-        equations = tuple(
-            LinearEquation((part.beta_coeff, part.index_coeff), part.constant, part.modulus)
-            for part in system.parts
-        )
-        assert solve_system(LinearSystem(2, equations)).contains((lemma2.beta, n))
+        assert solve_system(system).contains((lemma2.beta, n))
 
     check()
 
@@ -277,22 +275,26 @@ class TestSplitRecombine:
             if inst is None:
                 continue
             system = transform(inst)
-            m = system.master
-            master_set = solve_system(
-                LinearSystem(
-                    2,
-                    (LinearEquation((m.beta_coeff, m.index_coeff), m.constant, m.modulus),),
-                )
-            )
-            parts_set = solve_system(
-                LinearSystem(
-                    2,
-                    tuple(
-                        LinearEquation((part.beta_coeff, part.index_coeff), part.constant, part.modulus)
-                        for part in system.parts
-                    ),
-                )
-            )
+            master_set = solve_system(LinearSystem(2, (system.master,)))
+            parts_set = solve_system(system)
             assert master_set.count == parts_set.count == inst.params.m1
             limit = inst.params.m1
             assert master_set.enumerate(limit) == parts_set.enumerate(limit)
+
+    @pytest.mark.parametrize("q", [q for q in SAFE_QS if q * (2 * q + 1) <= 3000])
+    def test_master_and_parts_enumerate_the_same_points(self, q):
+        pq = q * (2 * q + 1)
+        for n in (1, q + 2, 2 * q - 1):
+            inst = make_instance(q, n)
+            if inst is None:
+                continue
+            system = transform(inst)
+            m = system.master
+            master_points = solve_single(m.coeffs, m.constant, m.modulus).enumerate(pq)
+            assert len(master_points) == pq
+            assert master_points == solve_system(system).enumerate(pq)
+
+    def test_parts_sharing_a_factor_are_rejected(self):
+        parts = (LinearCongruence((1, 2), 3, 6), LinearCongruence((1, 1), 1, 9))
+        with pytest.raises(InvalidSystemError):
+            CongruenceSystem(2, parts)

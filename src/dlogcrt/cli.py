@@ -22,7 +22,7 @@ from math import gcd
 from typing import Iterator
 
 from .errors import DlogCrtError, InvalidInputError, SearchExhaustedError
-from .lift import _recover_p2
+from .lift import recover_index_mod_p2
 from .numtheory import (
     Factorization,
     SafePrimeParams,
@@ -36,7 +36,6 @@ from .reduction import (
     DlogInstance,
     LinearCongruence,
     VerificationReport,
-    _verify,
     solve_small,
     transform,
     verify_instance,
@@ -117,12 +116,13 @@ def report_document(report: VerificationReport) -> dict:
 
 def _rand_below(rng: random.Random, n: int) -> int:
     """Uniform draw from [0, n) by rejection on getrandbits; stable across
-    Python versions, unlike randrange for some argument shapes."""
+    Python versions, unlike randrange for some argument shapes. For n = 1,
+    getrandbits(0) is 0 and consumes no state."""
     if n <= 0:
         raise ValueError("need a positive bound")
     bits = (n - 1).bit_length()
     while True:
-        x = rng.getrandbits(bits) if bits else 0
+        x = rng.getrandbits(bits)
         if x < n:
             return x
 
@@ -132,6 +132,9 @@ Group = tuple[SafePrimeParams, int]
 # Most groups the sampler remembers; past it the least recently drawn q is
 # forgotten, so memory does not grow with --count or the width of the q range.
 GROUP_CACHE_LIMIT = 4096
+
+# Draws sample_instance makes before it gives up on a q range.
+SAMPLE_MAX_DRAWS = 100_000
 
 
 @lru_cache(maxsize=GROUP_CACHE_LIMIT)
@@ -148,12 +151,7 @@ def _group(q: int) -> Group | None:
     return params, base
 
 
-def sample_instance(
-    rng: random.Random,
-    qmin: int,
-    qmax: int,
-    max_draws: int = 100_000,
-) -> DlogInstance:
+def sample_instance(rng: random.Random, qmin: int, qmax: int) -> DlogInstance:
     """Draw one verifiable instance: q prime in [qmin, qmax] with 2q + 1
     prime, the smallest primitive root as base, n uniform in [0, p - 2],
     and target = base**n mod p. Draws whose base or target shares a factor
@@ -162,7 +160,7 @@ def sample_instance(
     numbers, so the draws are the same whether it hits or not."""
     if not 3 <= qmin <= qmax:
         raise SearchExhaustedError(f"bad subgroup prime range [{qmin}, {qmax}]")
-    for _ in range(max_draws):
+    for _ in range(SAMPLE_MAX_DRAWS):
         q = qmin + _rand_below(rng, qmax - qmin + 1)
         group = _group(q)
         if group is None:
@@ -174,20 +172,18 @@ def sample_instance(
             continue
         return DlogInstance(params, base, target, known_index=n)
     raise SearchExhaustedError(
-        f"no instance found in {max_draws} draws over q in [{qmin}, {qmax}]"
+        f"no instance found in {SAMPLE_MAX_DRAWS} draws over q in [{qmin}, {qmax}]"
     )
 
 
-def run_experiment(
-    count: int, qmin: int, qmax: int, seed: int
-) -> Iterator[tuple[int, dict]]:
-    """Yield (id, record) pairs, deterministically in (count, range, seed)."""
+def run_experiment(count: int, qmin: int, qmax: int, seed: int) -> Iterator[dict]:
+    """Yield the records, deterministically in (count, range, seed)."""
     rng = random.Random(seed)
     for i in range(count):
         instance = sample_instance(rng, qmin, qmax)
         record = report_document(verify_instance(instance))
         record["id"] = str(i)
-        yield i, record
+        yield record
 
 
 def _print_json(doc: dict) -> None:
@@ -399,7 +395,7 @@ def _run(args: argparse.Namespace) -> int:
         if not is_prime(args.p):
             raise InvalidInputError(f"{args.p} is not prime")
         p = args.p
-        n, b0, beta, a1, b1 = _recover_p2(p, args.a0, args.power % (p * p))
+        n, b0, beta, a1, b1 = recover_index_mod_p2(p, args.a0, args.power % (p * p))
         _print_json(
             {"n": str(n), "b0": str(b0), "beta": str(beta), "a1": str(a1), "b1": str(b1)}
         )
@@ -416,7 +412,7 @@ def _run(args: argparse.Namespace) -> int:
                 build_parser().error(f"cannot open {exc.filename}: {exc.strerror}")
             if args.csv:
                 table.writerow(("id", "p", "q", "a0", "b0", "n") + _FLAG_COLUMNS)
-            for _, record in run_experiment(args.count, args.qmin, args.qmax, args.seed):
+            for record in run_experiment(args.count, args.qmin, args.qmax, args.seed):
                 print(_json_line(record), file=out)
                 if args.csv:
                     table.writerow(
@@ -425,7 +421,7 @@ def _run(args: argparse.Namespace) -> int:
                     )
 
     elif args.command == "explain":
-        print("\n".join(_explain_lines(_verify(_instance(args, args.n)))))
+        print("\n".join(_explain_lines(verify_instance(_instance(args, args.n)))))
 
     return 0
 

@@ -56,19 +56,15 @@ def carry_beta_p2(p: int, b0: int, power: int) -> int:
     return (power - b0) // p
 
 
-def recover_index_mod_p2(p: int, a0: int, power: int) -> int:
-    """Index n mod p of a primitive root a0 from X = a0**n mod p**2.
+def recover_index_mod_p2(p: int, a0: int, power: int) -> tuple[int, int, int, int, int]:
+    """Index n mod p of a primitive root a0 from X = a0**n mod p**2, with
+    the values it is derived from: the tuple (n, b0, beta, a1, b1).
 
     Writing X = b0 + beta*p and using the Teichmuller digits a1, b1 of
     a0 and b0, the linearized lift relation beta + n*(b0/a0)*a1 = b1 (mod p)
-    is solved for n. For 1 <= n <= p - 1 the result equals n. Bases whose
+    is solved for n. For 1 <= n <= p - 1 the recovered index is n. Bases whose
     digit a1 vanishes mod p are rejected: the relation then says nothing.
     """
-    return _recover_p2(p, a0, power)[0]
-
-
-def _recover_p2(p: int, a0: int, power: int) -> tuple[int, int, int, int, int]:
-    """(n, b0, beta, a1, b1) of recover_index_mod_p2, each derived once."""
     a0 = a0 % p
     _require_unit(a0, p, "a0")
     if gcd(power, p) != 1:
@@ -85,13 +81,6 @@ def _recover_p2(p: int, a0: int, power: int) -> tuple[int, int, int, int, int]:
     return (b1 - beta) * mod_inv(coeff, p) % p, b0, beta, a1, b1
 
 
-def _check_power_premise(params: SafePrimeParams, a0: int, b0: int, n: int) -> None:
-    if pow(a0, n, params.p) != b0 % params.p:
-        raise Lemma1ViolationError(
-            f"a0**n = {pow(a0, n, params.p)} != b0 = {b0 % params.p} (mod {params.p})"
-        )
-
-
 def carry_beta_pq(
     params: SafePrimeParams, a0: int, b0: int, n: int
 ) -> CompositeCarry:
@@ -99,7 +88,10 @@ def carry_beta_pq(
     B = b0**(q-1) mod pq. Exact whenever a0**n = b0 (mod p)."""
     _require_unit(a0, params.m1, "a0")
     _require_unit(b0, params.m1, "b0")
-    _check_power_premise(params, a0, b0, n)
+    if pow(a0, n, params.p) != b0 % params.p:
+        raise Lemma1ViolationError(
+            f"a0**n = {pow(a0, n, params.p)} != b0 = {b0 % params.p} (mod {params.p})"
+        )
     b_residue = pow(b0, params.q - 1, params.m1)
     full = _pow_m2(params, a0, n * (params.q - 1))
     if full % params.m1 != b_residue:

@@ -233,10 +233,7 @@ def gen_safe_prime(bits: int, seed: int) -> SafePrimeParams:
     rng = random.Random(seed)
     tries = 40_000 + 400 * bits + 2 * bits * bits
     for _ in range(tries):
-        if bits == 3:
-            q = 3
-        else:
-            q = (1 << (bits - 2)) | rng.getrandbits(bits - 3) << 1 | 1
+        q = (1 << (bits - 2)) | rng.getrandbits(bits - 3) << 1 | 1
         if q >> _SIEVE_BITS and gcd(q * (2 * q + 1), _SIEVE_PRIMORIAL) != 1:
             continue
         if is_prime(q) and is_prime_2q_plus_1(q):

@@ -37,7 +37,6 @@ class LiftProfile:
                    kept for the discrepancy report
     """
 
-    base: int
     power_residue: int
     carry: int
     quotient: int
@@ -100,7 +99,6 @@ def lift_profile(params: SafePrimeParams, x: int) -> LiftProfile:
     digit = (carry - power_residue * quotient) % m1
     digit_literal = -power_residue * quotient % m1
     return LiftProfile(
-        base=x,
         power_residue=power_residue,
         carry=carry,
         quotient=quotient,

@@ -10,7 +10,7 @@ from functools import reduce
 from math import gcd
 
 from .arith import crt_pair
-from .errors import InvalidInstanceError, NoSolutionError, PreconditionError
+from .errors import InvalidInstanceError, NoSolutionError
 from .lift import Lemma2Report, _linear_coefficients, check_lemma1, check_lemma2
 from .mcrt import LinearEquation, LinearSystem
 from .numtheory import SafePrimeParams
@@ -147,7 +147,7 @@ def solve_small(instance: DlogInstance) -> int:
 
 @dataclass(frozen=True)
 class VerificationReport:
-    """All intermediate values and checks for an instance with known index.
+    """All intermediate values and checks for an instance and its index.
 
     Everything is re-derivable from (p, q, base, target, known index); the
     lift profiles, beta, c, d and the lemma-2 flags are those of lemma2,
@@ -176,18 +176,11 @@ class VerificationReport:
 
 
 def verify_instance(instance: DlogInstance) -> VerificationReport:
-    """Run every check on an instance with known index and collect the
-    evidence into one report. Each derived value is computed once: the lift
-    profiles, beta, c and d come from the lemma-2 check, and the subgroup
-    discrete log runs once for both the candidates and the recovery."""
-    if instance.known_index is None:
-        raise PreconditionError("verification requires a known index")
-    return _verify(instance)
-
-
-def _verify(instance: DlogInstance) -> VerificationReport:
-    """verify_instance; an instance without a known index first gets the
-    index solve_small would return, from the same subgroup discrete log."""
+    """Run every check on an instance and collect the evidence into one
+    report. An instance without a known index gets the index solve_small
+    would return. Each derived value is computed once: the lift profiles,
+    beta, c and d come from the lemma-2 check, and the subgroup discrete log
+    runs once for the candidates, the recovery and any missing index."""
     params = instance.params
     n_q = subgroup_index_mod_q(instance)
     candidates = candidates_mod_group_order(n_q, params)

@@ -118,7 +118,7 @@ def test_criterion_3_index_recovery_mod_p2():
             assert a0 is not None, f"no usable primitive root below {p}"
             pp = p * p
             for n in range(1, p):
-                assert recover_index_mod_p2(p, a0, pow(a0, n, pp)) == n, (p, a0, n)
+                assert recover_index_mod_p2(p, a0, pow(a0, n, pp))[0] == n, (p, a0, n)
 
 
 def test_criterion_4_end_to_end_solve():

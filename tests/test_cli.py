@@ -1,3 +1,4 @@
+import ast
 import csv
 import hashlib
 import io
@@ -30,6 +31,20 @@ from conftest import CRYPTO_GROUPS
 def run_cli(capsys, *argv):
     code = main(list(argv))
     return code, capsys.readouterr().out
+
+
+def test_imports_no_private_name_from_the_package():
+    # the CLI is a plain client of the public library
+    tree = ast.parse(Path(cli.__file__).read_text())
+    private = [
+        alias.name
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level > 0 or (node.module or "").startswith("dlogcrt"))
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert private == []
 
 
 class TestReduce:
@@ -391,6 +406,27 @@ class TestDeterminism:
         )
         assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
             "60a366b77431d1f0cdb7407540935547912c39069893772f57b1ab86d3134a15"
+        )
+
+    def test_experiment_over_one_q_golden(self, capsys):
+        # a q range of width 1 draws q with getrandbits(0), which consumes
+        # no state, so each n is the next 4-bit draw below p - 1 = 10
+        code, out = run_cli(
+            capsys,
+            "experiment", "--count", "3", "--qmin", "5", "--qmax", "5", "--seed", "1",
+        )
+        assert code == 0
+        rng, ns = random.Random(1), []
+        while len(ns) < 3:
+            draw = rng.getrandbits(4)
+            if draw < 10:
+                ns.append(draw)
+        records = [json.loads(line) for line in out.splitlines()]
+        assert [(r["p"], r["q"], r["a0"], r["n"]) for r in records] == [
+            ("11", "5", "2", str(n)) for n in ns
+        ]
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "30ead5e5262ef7874953548f3a3c0e9b76ee651caaf630cc8ed82eec1bccd6ca"
         )
 
 

@@ -78,10 +78,14 @@ class TestCarryBetaP2:
 
 class TestRecoverIndex:
     def test_cube(self):
-        assert recover_index_mod_p2(11, 2, pow(2, 3, 121)) == 3
+        assert recover_index_mod_p2(11, 2, pow(2, 3, 121))[0] == 3
+
+    def test_golden_derivation(self):
+        # 2**3 = 8 = 8 + 0*11 (mod 121); both Teichmuller digits are 10
+        assert recover_index_mod_p2(11, 2, 8) == (3, 8, 0, 10, 10)
 
     def test_identity_power(self):
-        assert recover_index_mod_p2(11, 2, 2) == 1
+        assert recover_index_mod_p2(11, 2, 2)[0] == 1
 
     def test_rejects_vanishing_digit(self):
         with pytest.raises(ZeroDigitError):
@@ -93,7 +97,7 @@ class TestRecoverIndex:
 
     def test_top_of_range_maps_to_p_minus_1(self):
         # a0**(p-1) reduces to 1 mod p; recovery must land on p - 1, not 0
-        assert recover_index_mod_p2(11, 2, pow(2, 10, 121)) == 10
+        assert recover_index_mod_p2(11, 2, pow(2, 10, 121))[0] == 10
 
     def test_round_trip_small_primes(self):
         for p in sieve(500):
@@ -101,7 +105,7 @@ class TestRecoverIndex:
                 continue
             a0 = _smallest_usable_root(p)
             for n in range(1, p):
-                assert recover_index_mod_p2(p, a0, pow(a0, n, p * p)) == n, (p, n)
+                assert recover_index_mod_p2(p, a0, pow(a0, n, p * p))[0] == n, (p, n)
 
 
 def _smallest_usable_root(p: int) -> int:

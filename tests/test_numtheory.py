@@ -233,7 +233,7 @@ class TestGenSafePrime:
     def test_returns_the_first_safe_draw(self):
         # the sieve skips no draw that the primality tests would accept:
         # the result is the first drawn q with q and 2q + 1 prime per sympy
-        for bits, seed in [(b, s) for b in range(4, 41) for s in range(3)] + [
+        for bits, seed in [(b, s) for b in range(3, 41) for s in range(3)] + [
             (96, 0),
             (256, 1),
         ]:

@@ -175,7 +175,6 @@ def _profile_by_definition(params, x):
     low = full % params.m1
     carry = (full - low) // params.m1
     return LiftProfile(
-        base=x,
         power_residue=low,
         carry=carry,
         quotient=quotient,

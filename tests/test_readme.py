@@ -1,8 +1,15 @@
-"""The README's library quick start runs, and prints what its comments say."""
+"""The README's library quick start runs, and prints what its comments say;
+every command of its CLI block exits 0."""
 
 import io
+import json
+import shlex
 from contextlib import redirect_stdout
 from pathlib import Path
+
+import pytest
+
+from dlogcrt import cli
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -38,3 +45,31 @@ def test_quick_start_prints_its_comments():
     printed = out.getvalue().splitlines()
     assert printed == expected_output(lines)
     assert len(printed) == 4
+
+
+def cli_block() -> list[str]:
+    """The commands of the first sh block under "## CLI", with each
+    backslash continuation joined to its line."""
+    text = README.read_text()
+    section = text[text.index("## CLI") :]
+    start = section.index("```sh\n") + len("```sh\n")
+    block = section[start : section.index("```", start)]
+    return block.replace("\\\n", " ").splitlines()
+
+
+@pytest.mark.parametrize("line", cli_block(), ids=lambda line: line.split()[1])
+def test_cli_block_runs(line, tmp_path, monkeypatch, capsys):
+    # files named by --out and --csv land in tmp_path
+    monkeypatch.chdir(tmp_path)
+    program, *argv = shlex.split(line, comments=True)
+    assert program == "dlogcrt"
+    assert cli.main(argv) == 0, line
+    out = capsys.readouterr().out
+    if argv[0] == "solve":
+        assert json.loads(out) == json.loads(line.partition("#")[2])
+
+
+def test_cli_block_covers_every_subcommand():
+    assert sorted(line.split()[1] for line in cli_block()) == sorted(
+        ["gen", "quotient", "reduce", "solve", "verify", "recover-p2", "explain", "experiment"]
+    )

@@ -27,7 +27,7 @@ from dlogcrt import (
     transform,
     verify_instance,
 )
-from dlogcrt.errors import InvalidInstanceError, InvalidSystemError, PreconditionError
+from dlogcrt.errors import InvalidInstanceError, InvalidSystemError
 
 from conftest import CRYPTO_GROUPS, SAFE_QS
 
@@ -212,9 +212,16 @@ class TestSolveSmall:
 
 
 class TestVerifyInstance:
-    def test_requires_known_index(self, golden):
-        with pytest.raises(PreconditionError):
-            verify_instance(DlogInstance(golden, 2, 4))
+    def test_unindexed_instance_reports_as_indexed(self, golden):
+        # the missing index is the one solve_small returns, and the report
+        # is the one for the instance that carries it
+        assert verify_instance(DlogInstance(golden, 2, 4)) == verify_instance(
+            DlogInstance(golden, 2, 4, known_index=2)
+        )
+        for inst in random_instances(SAFE_QS[:6], 20, seed=9):
+            # known_index is drawn from [0, p - 1), where the index is unique
+            unindexed = DlogInstance(inst.params, inst.base, inst.target)
+            assert verify_instance(unindexed) == verify_instance(inst)
 
     def test_golden_report_values(self, golden):
         report = verify_instance(DlogInstance(golden, 2, 4, known_index=2))

@@ -17,7 +17,6 @@ from .mcrt import (
     LinearEquation,
     LinearSystem,
     SolutionSet,
-    solve_single,
     solve_system,
 )
 from .numtheory import (
@@ -71,7 +70,6 @@ __all__ = [
     "mod_inv",
     "primitive_root",
     "recover_index_mod_p2",
-    "solve_single",
     "solve_small",
     "solve_system",
     "subgroup_index_mod_q",

@@ -81,24 +81,30 @@ def recover_index_mod_p2(p: int, a0: int, power: int) -> tuple[int, int, int, in
     return (b1 - beta) * mod_inv(coeff, p) % p, b0, beta, a1, b1
 
 
-def carry_beta_pq(
-    params: SafePrimeParams, a0: int, b0: int, n: int
-) -> CompositeCarry:
-    """Carry beta with a0**(n*(q-1)) mod (pq)**2 = B + beta*pq, where
-    B = b0**(q-1) mod pq. Exact whenever a0**n = b0 (mod p)."""
-    _require_unit(a0, params.m1, "a0")
-    _require_unit(b0, params.m1, "b0")
+def _index_carry(
+    params: SafePrimeParams, a0: int, b0: int, n: int, s_a: int, b_residue: int
+) -> int:
+    """Carry beta with P = s_a**n = B + beta*pq (mod (pq)**2), where
+    s_a = a0**(q-1) mod (pq)**2 and B = b0**(q-1) mod pq; checks lemma 1."""
     if pow(a0, n, params.p) != b0 % params.p:
         raise Lemma1ViolationError(
             f"a0**n = {pow(a0, n, params.p)} != b0 = {b0 % params.p} (mod {params.p})"
         )
-    b_residue = pow(b0, params.q - 1, params.m1)
-    full = _pow_m2(params, a0, n * (params.q - 1))
+    full = _pow_m2(params, s_a, n)
     if full % params.m1 != b_residue:
         raise Lemma1ViolationError(
             f"a0**(n*(q-1)) = {full % params.m1} != {b_residue} (mod {params.m1})"
         )
-    return CompositeCarry(beta=(full - b_residue) // params.m1)
+    return (full - b_residue) // params.m1
+
+
+def carry_beta_pq(params: SafePrimeParams, a0: int, b0: int, n: int) -> CompositeCarry:
+    """Carry beta with a0**(n*(q-1)) mod (pq)**2 = B + beta*pq, where
+    B = b0**(q-1) mod pq. Exact whenever a0**n = b0 (mod p)."""
+    _require_unit(a0, params.m1, "a0")
+    _require_unit(b0, params.m1, "b0")
+    s_a, b_res = _pow_m2(params, a0, params.q - 1), pow(b0, params.q - 1, params.m1)
+    return CompositeCarry(beta=_index_carry(params, a0, b0, n, s_a, b_res))
 
 
 def check_lemma1(params: SafePrimeParams, a0: int, b0: int, n: int) -> bool:
@@ -146,6 +152,7 @@ class Lemma2Report:
     linear_congruence_ok: bool
     eq19_corrected_ok: bool
     literal_lift_identity_ok: bool
+    lemma1_ok = True  # class constant: check_lemma2 raises when lemma 1 fails
 
     @property
     def corrected_ok(self) -> bool:
@@ -161,26 +168,29 @@ class Lemma2Report:
 def check_lemma2(params: SafePrimeParams, a0: int, b0: int, n: int) -> Lemma2Report:
     """Evaluate the composite lift identity and its linearization.
 
-    Checks, with A, B the (q-1)-th power residues and a1, b1 the corrected
-    digits:
+    Checks, with A, B the (q-1)-th power residues, k_a the carry of A and
+    a1, b1 the corrected digits:
 
       lift identity        (A + a1*pq)**n = B + b1*pq   (mod (pq)**2)
       linear congruence    beta + n*c = d               (mod pq)
       quotient relation    n*q(a0) = q(b0) + (beta - k_b)/B  (mod pq)
 
     with c and d from _linear_coefficients. The lift identity with the
-    literal digits is recorded as the literal flag.
+    literal digits is recorded as the literal flag. The one power taken,
+    P = (A + k_a*pq)**n = B + beta*pq (mod (pq)**2), gives lemma 1 and beta.
+    As A**(n-1) = B/A (mod pq), (A + x*pq)**n = P + n*(x - k_a)*(B/A)*pq, so
+    digits x, y lift exactly when A*(beta - y) + n*B*(x - k_a) = 0 (mod pq).
     """
-    m1, m2 = params.m1, params.m2
+    m1 = params.m1
     prof_a = lift_profile(params, a0)
     prof_b = lift_profile(params, b0)
-    beta = carry_beta_pq(params, a0, b0, n).beta
+    a_res, b_res, k_a = prof_a.power_residue, prof_b.power_residue, prof_a.carry
+    beta = _index_carry(params, a0, b0, n, a_res + k_a * m1, b_res)
     coeff, constant = _linear_coefficients(params, prof_a, prof_b)
-    a_res, b_res = prof_a.power_residue, prof_b.power_residue
     eq19_rhs = (prof_b.quotient + (beta - prof_b.carry) * mod_inv(b_res, m1)) % m1
 
     def lifts(digit_a: int, digit_b: int) -> bool:
-        return _pow_m2(params, a_res + digit_a * m1, n) == (b_res + digit_b * m1) % m2
+        return (a_res * (beta - digit_b) + n * b_res * (digit_a - k_a)) % m1 == 0
 
     return Lemma2Report(
         profile_a=prof_a,

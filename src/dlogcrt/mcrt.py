@@ -149,14 +149,6 @@ class SolutionSet:
         return points
 
 
-def solve_single(coeffs: tuple[int, ...] | list[int], constant: int, modulus: int) -> SolutionSet:
-    """Solution set of one linear congruence. Empty when
-    g = gcd(coeffs..., m) does not divide the constant; otherwise the count
-    is g * m**(r-1)."""
-    eq = LinearEquation(tuple(coeffs), constant, modulus)
-    return solve_system(LinearSystem(eq.unknowns, (eq,)))
-
-
 def solve_system(system: LinearSystem) -> SolutionSet:
     """Solve each equation mod its own modulus and lift its coset to the
     product modulus by the CRT idempotent of that modulus; the count is the

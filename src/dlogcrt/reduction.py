@@ -11,7 +11,7 @@ from math import gcd
 
 from .arith import crt_pair
 from .errors import InvalidInstanceError, NoSolutionError
-from .lift import Lemma2Report, _linear_coefficients, check_lemma1, check_lemma2
+from .lift import Lemma2Report, _linear_coefficients, check_lemma2
 from .mcrt import LinearEquation, LinearSystem
 from .numtheory import SafePrimeParams
 from .oracle import CyclicContext, dlog_bsgs
@@ -178,9 +178,9 @@ class VerificationReport:
 def verify_instance(instance: DlogInstance) -> VerificationReport:
     """Run every check on an instance and collect the evidence into one
     report. An instance without a known index gets the index solve_small
-    would return. Each derived value is computed once: the lift profiles,
-    beta, c and d come from the lemma-2 check, and the subgroup discrete log
-    runs once for the candidates, the recovery and any missing index."""
+    would return. Each derived value is computed once: lemma 1, the lift
+    profiles, beta, c and d come from the lemma-2 check, and the subgroup
+    log runs once for the candidates, the recovery and any missing index."""
     params = instance.params
     n_q = subgroup_index_mod_q(instance)
     candidates = candidates_mod_group_order(n_q, params)
@@ -189,14 +189,13 @@ def verify_instance(instance: DlogInstance) -> VerificationReport:
         instance = replace(instance, known_index=recovered)
     a0, b0, n = instance.base, instance.target, instance.known_index
 
-    lemma1_ok = check_lemma1(params, a0, b0, n)
     lemma2 = check_lemma2(params, a0, b0, n)
     system = _master_system(params, lemma2.index_coeff, lemma2.constant)
     return VerificationReport(
         instance=instance,
         system=system,
         lemma2=lemma2,
-        lemma1_ok=lemma1_ok,
+        lemma1_ok=lemma2.lemma1_ok,
         parts_ok=system.satisfied_by((lemma2.beta, n)),
         subgroup_index=n_q,
         candidates=candidates,

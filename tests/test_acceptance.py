@@ -10,13 +10,13 @@ from math import gcd
 from dlogcrt import (
     CyclicContext,
     DlogInstance,
+    LinearEquation,
     LinearSystem,
     SafePrimeParams,
     dlog_bsgs,
     lift_profile,
     primitive_root,
     recover_index_mod_p2,
-    solve_single,
     solve_system,
     teichmuller_digit,
     transform,
@@ -172,7 +172,7 @@ def test_criterion_6_mcrt_oracle_equivalence():
             r = rng.randrange(1, 4)
             coeffs = tuple(rng.randrange(m) for _ in range(r))
             w = rng.randrange(m)
-            sol = solve_single(coeffs, w, m)
+            sol = solve_system(LinearSystem(r, (LinearEquation(coeffs, w, m),)))
             expected = [
                 pt
                 for pt in itertools.product(range(m), repeat=r)

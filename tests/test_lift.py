@@ -21,7 +21,7 @@ from dlogcrt.errors import (
     ZeroDigitError,
 )
 
-from conftest import DIFFERENTIAL_GROUPS, factorize, fermat_quotient, sieve
+from conftest import CRYPTO_GROUPS, DIFFERENTIAL_GROUPS, factorize, fermat_quotient, sieve
 
 
 class TestTeichmullerDigit:
@@ -211,30 +211,43 @@ class TestCheckLemma2:
 
 
 @pytest.mark.parametrize(
-    "pq", DIFFERENTIAL_GROUPS, ids=lambda pq: f"{pq[0].bit_length()}bit-q{pq[1] % 10**6}"
+    "pq",
+    DIFFERENTIAL_GROUPS + CRYPTO_GROUPS[2:],
+    ids=lambda pq: f"{pq[0].bit_length()}bit-q{pq[1] % 10**6}",
 )
 def test_carry_and_lift_identities_match_the_definitions(pq):
-    """carry_beta_pq against pow(a0, n*(q-1), m2), and the lemma-2 lift
-    identity flags against the powers taken mod m2, for bases up to m3 and
-    targets that are not reduced mod p."""
+    """carry_beta_pq against pow(a0, n*(q-1), m2), lemma 1 against the
+    powers mod m1, and the lemma-2 lift identity flags against the powers
+    taken mod m2, for bases up to m3 and targets that are not reduced mod p.
+    Besides random indices, every group gets the indices where n mod pq
+    vanishes or wraps while the exponent n*(q-1) does not. At 1024 bits one
+    random case with a base below m2 keeps the direct powers fast."""
     params = SafePrimeParams(*pq)
     p, q, m1, m2 = params.p, params.q, params.m1, params.m2
     rng = random.Random(q)
-    cases = 0
-    while cases < (3 if p.bit_length() > 256 else 10):
-        a0 = rng.randrange(2, params.m3)
-        n = rng.randrange(0, 4 * p)
-        b0 = pow(a0, n, p) + p * rng.randrange(q)
-        if gcd(a0, m1) != 1 or gcd(b0, m1) != 1:
-            continue
-        cases += 1
+    if p.bit_length() > 512:
+        base_bound, indices = m2, [None]
+    else:
+        base_bound = params.m3
+        indices = [None] * (3 if p.bit_length() > 256 else 10)
+        indices += [0, 1, m1 - 1, m1, m1 + 1, 2 * m1]
+    for fixed in indices:
+        while True:
+            a0 = rng.randrange(2, base_bound)
+            n = rng.randrange(0, 4 * p) if fixed is None else fixed
+            b0 = pow(a0, n, p) + p * rng.randrange(q)
+            if gcd(a0, m1) == 1 and gcd(b0, m1) == 1:
+                break
         full = pow(a0, n * (q - 1), m2)
         b_res = pow(b0, q - 1, m1)
         assert (full - b_res) % m1 == 0
         beta = carry_beta_pq(params, a0, b0, n).beta
         assert beta == (full - b_res) // m1, (p, a0, b0, n)
 
+        lemma1 = pow(a0, n * (q - 1), m1) == b_res
+        assert check_lemma1(params, a0, b0, n) == lemma1
         report = check_lemma2(params, a0, b0, n)
+        assert report.lemma1_ok == lemma1
         pa, pb = report.profile_a, report.profile_b
         assert report.beta == beta
         assert report.lift_identity_ok

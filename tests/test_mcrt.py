@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from dlogcrt import LinearEquation, LinearSystem, solve_single, solve_system
+from dlogcrt import LinearEquation, LinearSystem, solve_system
 from dlogcrt.errors import InvalidSystemError, TooManySolutionsError
 
 
@@ -21,41 +21,43 @@ def scan_single(coeffs, constant, m):
 
 
 class TestSolveSingle:
+    """One linear congruence, solved as a one-equation system."""
+
     def test_golden_mod_5(self):
-        sol = solve_single((1, 2), 3, 5)
+        sol = solve_system(LinearSystem(2, (LinearEquation((1, 2), 3, 5),)))
         assert sol.count == 5
         assert sol.contains((4, 2))
 
     def test_golden_mod_11(self):
-        sol = solve_single((1, 1), 6, 11)
+        sol = solve_system(LinearSystem(2, (LinearEquation((1, 1), 6, 11),)))
         assert sol.count == 11
         assert sol.contains((4, 2))
 
     def test_unsolvable_is_empty_value(self):
-        sol = solve_single((0, 0), 1, 7)
+        sol = solve_system(LinearSystem(2, (LinearEquation((0, 0), 1, 7),)))
         assert sol.empty
         assert sol.count == 0
         assert sol.enumerate(10) == []
         assert not sol.contains((0, 0))
 
     def test_gcd_two_case(self):
-        sol = solve_single((2, 4), 6, 8)
+        sol = solve_system(LinearSystem(2, (LinearEquation((2, 4), 6, 8),)))
         assert sol.count == 16
         assert sorted(scan_single((2, 4), 6, 8)) == sol.enumerate(64)
 
     def test_zero_equation_full_space(self):
-        sol = solve_single((0, 0), 0, 4)
+        sol = solve_system(LinearSystem(2, (LinearEquation((0, 0), 0, 4),)))
         assert sol.count == 16
         assert sol.enumerate(16) == list(itertools.product(range(4), repeat=2))
 
     def test_single_unknown(self):
-        sol = solve_single((3,), 6, 9)
+        sol = solve_system(LinearSystem(1, (LinearEquation((3,), 6, 9),)))
         assert sol.count == 3
         assert sol.enumerate(9) == [(2,), (5,), (8,)]
 
     def test_enumerate_respects_limit(self):
         with pytest.raises(TooManySolutionsError):
-            solve_single((1, 2), 3, 5).enumerate(3)
+            solve_system(LinearSystem(2, (LinearEquation((1, 2), 3, 5),))).enumerate(3)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -64,7 +66,7 @@ class TestSolveSingle:
         m = data.draw(st.integers(2, 50))
         coeffs = tuple(data.draw(st.integers(0, m - 1)) for _ in range(r))
         constant = data.draw(st.integers(0, m - 1))
-        sol = solve_single(coeffs, constant, m)
+        sol = solve_system(LinearSystem(r, (LinearEquation(coeffs, constant, m),)))
         expected = scan_single(coeffs, constant, m)
         g = gcd(*coeffs, m)
         if constant % g:
@@ -97,9 +99,9 @@ class TestSolveSystem:
         assert len(points) == 55
         assert all((b + 12 * n) % 55 == 28 for b, n in points)
 
-    def test_single_equation_system_matches_solve_single(self):
+    def test_single_equation_system_matches_exhaustive_scan(self):
         system = LinearSystem(2, (LinearEquation((1, 2), 3, 5),))
-        assert solve_system(system).enumerate(25) == solve_single((1, 2), 3, 5).enumerate(25)
+        assert solve_system(system).enumerate(25) == scan_single((1, 2), 3, 5)
 
     def test_classical_crt_as_one_unknown_system(self):
         system = LinearSystem(
@@ -122,7 +124,7 @@ class TestSolveSystem:
         solutions = solve_system(system)
         assert solutions.count == 16 * 5
         assert [
-            solve_single(eq.coeffs, eq.constant, eq.modulus).count
+            solve_system(LinearSystem(2, (eq,))).count
             for eq in system.equations
         ] == [16, 5]
 

@@ -20,7 +20,6 @@ from dlogcrt import (
     check_lemma2,
     gen_safe_prime,
     primitive_root,
-    solve_single,
     solve_small,
     solve_system,
     subgroup_index_mod_q,
@@ -254,7 +253,9 @@ class TestVerifyInstance:
             assert report.all_ok, (inst.params.p, inst.base, inst.target, inst.known_index)
 
     def test_derives_profiles_and_subgroup_log_once(self, monkeypatch, params23):
-        calls = {"lift_profile": 0, "dlog_bsgs": 0}
+        calls = dict.fromkeys(
+            ("lift_profile", "dlog_bsgs", "_pow_m2", "check_lemma1", "carry_beta_pq"), 0
+        )
 
         def counted(name, fn):
             def wrapper(*args, **kwargs):
@@ -263,7 +264,13 @@ class TestVerifyInstance:
 
             return wrapper
 
-        for name, owner in (("lift_profile", quotients), ("dlog_bsgs", oracle)):
+        for name, owner in (
+            ("lift_profile", quotients),
+            ("dlog_bsgs", oracle),
+            ("_pow_m2", quotients),
+            ("check_lemma1", lift),
+            ("carry_beta_pq", lift),
+        ):
             wrapped = counted(name, getattr(owner, name))
             for module in (dlogcrt, quotients, oracle, lift, reduction):
                 if hasattr(module, name):
@@ -271,7 +278,14 @@ class TestVerifyInstance:
 
         report = verify_instance(DlogInstance(params23, 5, pow(5, 7, 23), known_index=7))
         assert report.all_ok
-        assert calls == {"lift_profile": 2, "dlog_bsgs": 1}
+        # one index power mod (pq)**2 gives lemma 1, beta and the lift flags
+        assert calls == {
+            "lift_profile": 2,
+            "dlog_bsgs": 1,
+            "_pow_m2": 1,
+            "check_lemma1": 0,
+            "carry_beta_pq": 0,
+        }
 
 
 class TestSplitRecombine:
@@ -297,7 +311,7 @@ class TestSplitRecombine:
                 continue
             system = transform(inst)
             m = system.master
-            master_points = solve_single(m.coeffs, m.constant, m.modulus).enumerate(pq)
+            master_points = solve_system(LinearSystem(2, (m,))).enumerate(pq)
             assert len(master_points) == pq
             assert master_points == solve_system(system).enumerate(pq)
 

@@ -12,6 +12,7 @@ relation into one congruence in the unknowns (beta, n) mod pq.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import gcd
 
 from .arith import mod_inv
@@ -24,6 +25,13 @@ from .errors import (
 )
 from .numtheory import SafePrimeParams
 from .quotients import LiftProfile, _exact_quotient, _pow_m2, _require_unit, lift_profile
+
+# Lemma-2 reports kept per process, least recently used evicted first. A
+# caller that checks one instance through several entries (check_lemma2, then
+# carry_beta_pq) needs only its latest report; 64, as for
+# quotients._PROFILES (which also gives the memory both take), leaves room
+# for callers that interleave instances of many groups.
+_REPORTS = 64
 
 
 @dataclass(frozen=True)
@@ -81,30 +89,14 @@ def recover_index_mod_p2(p: int, a0: int, power: int) -> tuple[int, int, int, in
     return (b1 - beta) * mod_inv(coeff, p) % p, b0, beta, a1, b1
 
 
-def _index_carry(
-    params: SafePrimeParams, a0: int, b0: int, n: int, s_a: int, b_residue: int
-) -> int:
-    """Carry beta with P = s_a**n = B + beta*pq (mod (pq)**2), where
-    s_a = a0**(q-1) mod (pq)**2 and B = b0**(q-1) mod pq; checks lemma 1."""
-    if pow(a0, n, params.p) != b0 % params.p:
-        raise Lemma1ViolationError(
-            f"a0**n = {pow(a0, n, params.p)} != b0 = {b0 % params.p} (mod {params.p})"
-        )
-    full = _pow_m2(params, s_a, n)
-    if full % params.m1 != b_residue:
-        raise Lemma1ViolationError(
-            f"a0**(n*(q-1)) = {full % params.m1} != {b_residue} (mod {params.m1})"
-        )
-    return (full - b_residue) // params.m1
-
-
 def carry_beta_pq(params: SafePrimeParams, a0: int, b0: int, n: int) -> CompositeCarry:
     """Carry beta with a0**(n*(q-1)) mod (pq)**2 = B + beta*pq, where
-    B = b0**(q-1) mod pq. Exact whenever a0**n = b0 (mod p)."""
+    B = b0**(q-1) mod pq. Exact whenever a0**n = b0 (mod p). It is the beta
+    of check_lemma2, so a call after check_lemma2 on the same instance takes
+    no power."""
     _require_unit(a0, params.m1, "a0")
     _require_unit(b0, params.m1, "b0")
-    s_a, b_res = _pow_m2(params, a0, params.q - 1), pow(b0, params.q - 1, params.m1)
-    return CompositeCarry(beta=_index_carry(params, a0, b0, n, s_a, b_res))
+    return CompositeCarry(beta=check_lemma2(params, a0, b0, n).beta)
 
 
 def check_lemma1(params: SafePrimeParams, a0: int, b0: int, n: int) -> bool:
@@ -165,6 +157,7 @@ class Lemma2Report:
         )
 
 
+@lru_cache(maxsize=_REPORTS)
 def check_lemma2(params: SafePrimeParams, a0: int, b0: int, n: int) -> Lemma2Report:
     """Evaluate the composite lift identity and its linearization.
 
@@ -180,12 +173,24 @@ def check_lemma2(params: SafePrimeParams, a0: int, b0: int, n: int) -> Lemma2Rep
     P = (A + k_a*pq)**n = B + beta*pq (mod (pq)**2), gives lemma 1 and beta.
     As A**(n-1) = B/A (mod pq), (A + x*pq)**n = P + n*(x - k_a)*(B/A)*pq, so
     digits x, y lift exactly when A*(beta - y) + n*B*(x - k_a) = 0 (mod pq).
+
+    Reports are kept per process (see _REPORTS), keyed on the unreduced n; an
+    instance that violates lemma 1 raises on every call.
     """
-    m1 = params.m1
+    p, m1 = params.p, params.m1
     prof_a = lift_profile(params, a0)
     prof_b = lift_profile(params, b0)
     a_res, b_res, k_a = prof_a.power_residue, prof_b.power_residue, prof_a.carry
-    beta = _index_carry(params, a0, b0, n, a_res + k_a * m1, b_res)
+    if pow(a0, n, p) != b0 % p:
+        raise Lemma1ViolationError(
+            f"a0**n = {pow(a0, n, p)} != b0 = {b0 % p} (mod {p})"
+        )
+    full = _pow_m2(params, a_res + k_a * m1, n)
+    if full % m1 != b_res:
+        raise Lemma1ViolationError(
+            f"a0**(n*(q-1)) = {full % m1} != {b_res} (mod {m1})"
+        )
+    beta = (full - b_res) // m1
     coeff, constant = _linear_coefficients(params, prof_a, prof_b)
     eq19_rhs = (prof_b.quotient + (beta - prof_b.carry) * mod_inv(b_res, m1)) % m1
 

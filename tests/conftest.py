@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from dlogcrt import CyclicContext, Factorization, SafePrimeParams
+from dlogcrt import CyclicContext, Factorization, SafePrimeParams, check_lemma2, lift_profile
 
 
 def sieve(limit: int) -> list[int]:
@@ -99,6 +99,14 @@ CRYPTO_GROUPS = [
 # SAFE_QS group and the 256/512-bit groups (their powers mod m3 would take
 # seconds per base at 1024 bits)
 DIFFERENTIAL_GROUPS = [(7, 3)] + [(2 * q + 1, q) for q in SAFE_QS] + CRYPTO_GROUPS[:2]
+
+
+@pytest.fixture(autouse=True)
+def fresh_derivation_caches():
+    """Empty the per-process lift-profile and lemma-2 caches before each test,
+    so that no test's call counts depend on the tests run before it."""
+    lift_profile.cache_clear()
+    check_lemma2.cache_clear()
 
 
 @pytest.fixture

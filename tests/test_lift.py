@@ -9,6 +9,7 @@ from dlogcrt import (
     carry_beta_pq,
     check_lemma1,
     check_lemma2,
+    lift_profile,
     primitive_root,
     recover_index_mod_p2,
     teichmuller_digit,
@@ -21,7 +22,7 @@ from dlogcrt.errors import (
     ZeroDigitError,
 )
 
-from conftest import CRYPTO_GROUPS, DIFFERENTIAL_GROUPS, factorize, fermat_quotient, sieve
+from conftest import CRYPTO_GROUPS, DIFFERENTIAL_GROUPS, SAFE_QS, factorize, fermat_quotient, sieve
 
 
 class TestTeichmullerDigit:
@@ -210,6 +211,53 @@ class TestCheckLemma2:
             check_lemma2(golden, 2, 7, 2)
 
 
+class TestKeptDerivations:
+    """lift_profile and check_lemma2 keep their results per process; a kept
+    result must be the one a fresh derivation gives."""
+
+    GROUPS = [SafePrimeParams(2 * q + 1, q) for q in SAFE_QS[:3]]
+
+    def test_kept_results_equal_fresh_ones_under_eviction(self):
+        # twice the bound of each cache, groups interleaved, then read back in
+        # reverse: the latest entries hit, the first ones were evicted
+        rng = random.Random(12)
+        profiles, reports = [], []
+        while len(reports) < 2 * check_lemma2.cache_info().maxsize:
+            for params in self.GROUPS:
+                p, q, m1 = params.p, params.q, params.m1
+                a0, n = rng.randrange(2, params.m2), rng.randrange(4 * p)
+                b0 = pow(a0, n, p) + p * rng.randrange(q)
+                if gcd(a0, m1) == 1 and gcd(b0, m1) == 1:
+                    profiles += [(params, a0), (params, b0)]
+                    reports.append((params, a0, b0, n))
+        for fn, keys in ((lift_profile, profiles), (check_lemma2, reports)):
+            for key in keys + keys[::-1]:
+                assert fn(*key) == fn.__wrapped__(*key), (fn.__name__, key)
+            info = fn.cache_info()
+            assert info.hits > 0 and info.misses > info.maxsize
+            assert info.currsize == info.maxsize
+
+    def test_profiles_are_keyed_on_the_exact_base(self, golden):
+        # q(x) depends on x mod (pq)**2, so x and x + pq differ in profile
+        x, y = 2, 2 + golden.m1
+        assert lift_profile(golden, x) != lift_profile(golden, y)
+        for base in (x, y):
+            assert lift_profile(golden, base) == lift_profile.__wrapped__(golden, base)
+
+    def test_errors_are_not_kept(self, golden):
+        assert check_lemma2(golden, 2, 4, 2).beta == 4
+        for _ in range(2):
+            with pytest.raises(Lemma1ViolationError):
+                check_lemma2(golden, 2, 7, 2)
+            with pytest.raises(NotAUnitError, match="^a0 = 5 is not a unit mod 55"):
+                carry_beta_pq(golden, 5, 4, 2)
+            with pytest.raises(NotAUnitError, match="^b0 = 5 is not a unit mod 55"):
+                carry_beta_pq(golden, 2, 5, 2)
+            with pytest.raises(NotAUnitError, match="^base = 5 is not a unit mod 55"):
+                lift_profile(golden, 5)
+        assert check_lemma2.cache_info().currsize == 1
+
+
 @pytest.mark.parametrize(
     "pq",
     DIFFERENTIAL_GROUPS + CRYPTO_GROUPS[2:],
@@ -241,19 +289,24 @@ def test_carry_and_lift_identities_match_the_definitions(pq):
         full = pow(a0, n * (q - 1), m2)
         b_res = pow(b0, q - 1, m1)
         assert (full - b_res) % m1 == 0
-        beta = carry_beta_pq(params, a0, b0, n).beta
-        assert beta == (full - b_res) // m1, (p, a0, b0, n)
-
         lemma1 = pow(a0, n * (q - 1), m1) == b_res
         assert check_lemma1(params, a0, b0, n) == lemma1
-        report = check_lemma2(params, a0, b0, n)
-        assert report.lemma1_ok == lemma1
-        pa, pb = report.profile_a, report.profile_b
-        assert report.beta == beta
-        assert report.lift_identity_ok
-        for digit_a, digit_b, flag in (
-            (pa.digit, pb.digit, report.lift_identity_ok),
-            (pa.digit_literal, pb.digit_literal, report.literal_lift_identity_ok),
-        ):
-            lhs = pow(pa.power_residue + digit_a * m1, n, m2)
-            assert flag == (lhs == (pb.power_residue + digit_b * m1) % m2)
+
+        hits = check_lemma2.cache_info().hits
+        # the second pass reads the kept report: carry_beta_pq and
+        # check_lemma2 must give the same beta and flags from the cache
+        for _ in range(2):
+            beta = carry_beta_pq(params, a0, b0, n).beta
+            assert beta == (full - b_res) // m1, (p, a0, b0, n)
+            report = check_lemma2(params, a0, b0, n)
+            assert report.lemma1_ok == lemma1
+            pa, pb = report.profile_a, report.profile_b
+            assert report.beta == beta
+            assert report.lift_identity_ok
+            for digit_a, digit_b, flag in (
+                (pa.digit, pb.digit, report.lift_identity_ok),
+                (pa.digit_literal, pb.digit_literal, report.literal_lift_identity_ok),
+            ):
+                lhs = pow(pa.power_residue + digit_a * m1, n, m2)
+                assert flag == (lhs == (pb.power_residue + digit_b * m1) % m2)
+        assert check_lemma2.cache_info().hits == hits + 3

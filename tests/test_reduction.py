@@ -146,6 +146,34 @@ def test_reduction_at_cryptographic_size(pq):
     check()
 
 
+def test_checked_reduction_shares_one_derivation(monkeypatch):
+    """transform, check_lemma1, check_lemma2 and carry_beta_pq on one fresh
+    256-bit instance derive the two lift profiles and the index power once;
+    a second target of the group derives only its own profile."""
+    params, a0 = crypto_group(CRYPTO_GROUPS[0])
+    powers = 0
+    pow_m2 = lift._pow_m2
+
+    def counted(*args):
+        nonlocal powers
+        powers += 1
+        return pow_m2(*args)
+
+    monkeypatch.setattr(lift, "_pow_m2", counted)
+
+    def check_reduction(n):
+        b0 = pow(a0, n, params.p)
+        transform(DlogInstance(params, a0, b0, known_index=n))
+        assert lift.check_lemma1(params, a0, b0, n)
+        assert check_lemma2(params, a0, b0, n).corrected_ok
+        carry_beta_pq(params, a0, b0, n)
+
+    check_reduction(2**200 + 12345)
+    assert (quotients.lift_profile.cache_info().misses, powers) == (2, 1)
+    check_reduction(2**200 + 12346)
+    assert (quotients.lift_profile.cache_info().misses, powers) == (3, 2)
+
+
 class TestSubgroupIndex:
     def test_golden(self, golden):
         assert subgroup_index_mod_q(DlogInstance(golden, 2, 4)) == 2

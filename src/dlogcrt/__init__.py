@@ -6,12 +6,10 @@ from .arith import crt_pair, egcd, mod_inv
 from .lift import (
     CompositeCarry,
     Lemma2Report,
-    carry_beta_p2,
     carry_beta_pq,
     check_lemma1,
     check_lemma2,
     recover_index_mod_p2,
-    teichmuller_digit,
 )
 from .mcrt import (
     LinearEquation,
@@ -33,7 +31,6 @@ from .reduction import (
     DlogInstance,
     LinearCongruence,
     VerificationReport,
-    candidates_mod_group_order,
     solve_small,
     subgroup_index_mod_q,
     transform,
@@ -56,8 +53,6 @@ __all__ = [
     "SafePrimeParams",
     "SolutionSet",
     "VerificationReport",
-    "candidates_mod_group_order",
-    "carry_beta_p2",
     "carry_beta_pq",
     "check_lemma1",
     "check_lemma2",
@@ -73,7 +68,6 @@ __all__ = [
     "solve_small",
     "solve_system",
     "subgroup_index_mod_q",
-    "teichmuller_digit",
     "transform",
     "verify_instance",
 ]

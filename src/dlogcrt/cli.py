@@ -104,7 +104,8 @@ def report_document(report: VerificationReport) -> dict:
         "n_mod_q": str(report.subgroup_index),
         "candidates": [str(c) for c in report.candidates],
         "recovered_n": str(report.recovered_index),
-        "lemma1_ok": report.lemma1_ok,
+        # always true: check_lemma2 raises on a lemma-1 failure
+        "lemma1_ok": True,
         "lemma2_corrected_ok": lemma2.corrected_ok,
         "lemma2_literal_ok": lemma2.literal_lift_identity_ok,
         "eq19_corrected_ok": lemma2.eq19_corrected_ok,
@@ -246,7 +247,8 @@ def _explain_lines(report: VerificationReport) -> list[str]:
     lines += [
         "",
         "consistency checks",
-        f"  power compatibility mod pq (lemma 1): {mark(report.lemma1_ok)}",
+        # always ok: check_lemma2 raises on a lemma-1 failure
+        "  power compatibility mod pq (lemma 1): ok",
         f"  lifted power identity, corrected digits (lemma 2):"
         f" {mark(lemma2.lift_identity_ok)}",
         f"  lifted power identity, carry-free digits:"
@@ -453,9 +455,5 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
-def main_entry() -> None:
-    sys.exit(main())
-
-
 if __name__ == "__main__":
-    main_entry()
+    sys.exit(main())

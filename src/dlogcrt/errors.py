@@ -47,10 +47,6 @@ class SearchExhaustedError(DlogCrtError):
     code = "search-exhausted"
 
 
-class InconsistentInputsError(DlogCrtError, ValueError):
-    code = "inconsistent-inputs"
-
-
 class ZeroDigitError(DlogCrtError):
     """The base has vanishing first lift digit, so index recovery from the
     prime-squared lift would divide by zero."""

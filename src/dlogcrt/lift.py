@@ -17,7 +17,6 @@ from math import gcd
 
 from .arith import mod_inv
 from .errors import (
-    InconsistentInputsError,
     Lemma1ViolationError,
     NotAUnitError,
     PreconditionError,
@@ -41,50 +40,32 @@ class CompositeCarry:
     beta: int
 
 
-def teichmuller_digit(p: int, x: int) -> int:
-    """First lift digit x1 = ((x**p mod p**2) - x) / p for a unit x < p; the
-    lift x + x1*p is the fixed point of X -> X**p mod p**2 above x."""
-    if not 0 <= x < p:
-        raise PreconditionError(f"base {x} must be canonical mod {p}")
-    _require_unit(x, p, "base")
-    return _exact_quotient(pow(x, p, p * p) - x, p, "Teichmuller digit")
-
-
-def carry_beta_p2(p: int, b0: int, power: int) -> int:
-    """Carry beta = (power - b0) / p where power is known mod p**2 and
-    reduces to b0 mod p."""
-    if not 0 <= b0 < p:
-        raise PreconditionError(f"b0 = {b0} must be canonical mod {p}")
-    if not 0 <= power < p * p:
-        raise PreconditionError(f"power {power} must be canonical mod {p}**2")
-    if power % p != b0:
-        raise InconsistentInputsError(
-            f"power {power} is {power % p}, not {b0}, mod {p}"
-        )
-    return (power - b0) // p
-
-
 def recover_index_mod_p2(p: int, a0: int, power: int) -> tuple[int, int, int, int, int]:
     """Index n mod p of a primitive root a0 from X = a0**n mod p**2, with
     the values it is derived from: the tuple (n, b0, beta, a1, b1).
 
-    Writing X = b0 + beta*p and using the Teichmuller digits a1, b1 of
-    a0 and b0, the linearized lift relation beta + n*(b0/a0)*a1 = b1 (mod p)
-    is solved for n. For 1 <= n <= p - 1 the recovered index is n. Bases whose
-    digit a1 vanishes mod p are rejected: the relation then says nothing.
+    The Teichmuller digit of a unit x < p is x1 = ((x**p mod p**2) - x) / p:
+    the lift x + x1*p is the fixed point of Y -> Y**p mod p**2 above x.
+    Writing X = b0 + beta*p and using the digits a1, b1 of a0 and b0, the
+    linearized lift relation beta + n*(b0/a0)*a1 = b1 (mod p) is solved for
+    n. For 1 <= n <= p - 1 the recovered index is n. Bases whose digit a1
+    vanishes mod p are rejected: the relation then says nothing.
     """
     a0 = a0 % p
     _require_unit(a0, p, "a0")
     if gcd(power, p) != 1:
         raise NotAUnitError(f"power {power} is not a unit mod {p}**2")
-    a1 = teichmuller_digit(p, a0)
+
+    def digit(x: int) -> int:
+        return _exact_quotient(pow(x, p, p * p) - x, p, "Teichmuller digit")
+
+    a1 = digit(a0)
     if a1 % p == 0:
         raise ZeroDigitError(
             f"base {a0} has vanishing lift digit mod {p}; index recovery impossible"
         )
-    b0 = power % p
-    beta = carry_beta_p2(p, b0, power % (p * p))
-    b1 = teichmuller_digit(p, b0)
+    beta, b0 = divmod(power % (p * p), p)
+    b1 = digit(b0)
     coeff = b0 * mod_inv(a0, p) * a1 % p
     return (b1 - beta) * mod_inv(coeff, p) % p, b0, beta, a1, b1
 
@@ -144,7 +125,6 @@ class Lemma2Report:
     linear_congruence_ok: bool
     eq19_corrected_ok: bool
     literal_lift_identity_ok: bool
-    lemma1_ok = True  # class constant: check_lemma2 raises when lemma 1 fails
 
     @property
     def corrected_ok(self) -> bool:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from math import gcd, isqrt, lcm, prod
+from math import gcd, isqrt, prod
 
 from .errors import (
     DegenerateModulusError,
@@ -165,10 +165,11 @@ class SafePrimeParams:
     """Validated safe-prime parameters p = 2q + 1 with the derived moduli.
 
     m1 = pq, m2 = (pq)**2, m3 = (pq)**3, and exponent = pq*(q-1), which is
-    the exponent of the unit group mod m2 (checked at construction). q is
-    checked by is_prime (a proof below ~3.19e23, a Baillie-PSW probable-prime
-    test above); p = 2q + 1 is then proven by is_prime_2q_plus_1, a proof
-    given that q is prime.
+    the exponent of the unit group mod m2: lambda(m2) = lcm(q(q-1), p(p-1))
+    = lcm(q(q-1), 2pq) = pq(q-1), as gcd(q(q-1), 2pq) = 2q (q - 1 is even,
+    and the prime p > q - 1 does not divide it). q is checked by is_prime (a
+    proof below ~3.19e23, a Baillie-PSW probable-prime test above); p = 2q + 1
+    is then proven by is_prime_2q_plus_1, a proof given that q is prime.
     """
 
     p: int
@@ -193,12 +194,6 @@ class SafePrimeParams:
         object.__setattr__(self, "m2", m1 * m1)
         object.__setattr__(self, "m3", m1 * m1 * m1)
         object.__setattr__(self, "exponent", m1 * (self.q - 1))
-        # lambda(q**2 * p**2) = lcm(phi(q**2), phi(p**2)) for odd primes q, p
-        lam = lcm(self.q * (self.q - 1), self.p * (self.p - 1))
-        if lam != self.exponent:
-            raise InvalidInputError(
-                f"exponent {self.exponent} != lambda(m2) = {lam}"
-            )
 
     @property
     def group_order(self) -> int:

@@ -120,18 +120,15 @@ def subgroup_index_mod_q(instance: DlogInstance) -> int:
     return n_q
 
 
-def candidates_mod_group_order(n_q: int, params: SafePrimeParams) -> tuple[int, int]:
-    """The two index candidates {n_q, n_q + q} mod p - 1 = 2q."""
-    order = params.group_order
-    return (n_q % order, (n_q % order + params.q) % order)
-
-
-def _verified_candidate(instance: DlogInstance, candidates: tuple[int, int]) -> int:
-    """The candidate n with base**n = target (mod p)."""
+def _lift_candidates(instance: DlogInstance, n_q: int) -> tuple[tuple[int, int], int]:
+    """The two index candidates (n_q, n_q + q) mod p - 1 = 2q for the
+    subgroup index n_q in [0, q), and the one n among them with
+    base**n = target (mod p)."""
     p = instance.params.p
+    candidates = (n_q, n_q + instance.params.q)
     for candidate in candidates:
         if pow(instance.base, candidate, p) == instance.target % p:
-            return candidate
+            return candidates, candidate
     raise NoSolutionError("no candidate verifies; instance invariants broken")
 
 
@@ -139,10 +136,7 @@ def solve_small(instance: DlogInstance) -> int:
     """The index n mod p - 1, found by subgroup recovery mod q and direct
     verification of the two lifted candidates. Desk scale only: the
     subgroup step costs O(sqrt(q)) group operations."""
-    n_q = subgroup_index_mod_q(instance)
-    return _verified_candidate(
-        instance, candidates_mod_group_order(n_q, instance.params)
-    )
+    return _lift_candidates(instance, subgroup_index_mod_q(instance))[1]
 
 
 @dataclass(frozen=True)
@@ -158,7 +152,6 @@ class VerificationReport:
     instance: DlogInstance
     system: CongruenceSystem
     lemma2: Lemma2Report
-    lemma1_ok: bool
     parts_ok: bool
     subgroup_index: int
     candidates: tuple[int, int]
@@ -167,12 +160,7 @@ class VerificationReport:
 
     @property
     def all_ok(self) -> bool:
-        return (
-            self.lemma1_ok
-            and self.lemma2.corrected_ok
-            and self.parts_ok
-            and self.recovered_ok
-        )
+        return self.lemma2.corrected_ok and self.parts_ok and self.recovered_ok
 
 
 def verify_instance(instance: DlogInstance) -> VerificationReport:
@@ -183,8 +171,7 @@ def verify_instance(instance: DlogInstance) -> VerificationReport:
     log runs once for the candidates, the recovery and any missing index."""
     params = instance.params
     n_q = subgroup_index_mod_q(instance)
-    candidates = candidates_mod_group_order(n_q, params)
-    recovered = _verified_candidate(instance, candidates)
+    candidates, recovered = _lift_candidates(instance, n_q)
     if instance.known_index is None:
         instance = replace(instance, known_index=recovered)
     a0, b0, n = instance.base, instance.target, instance.known_index
@@ -195,7 +182,6 @@ def verify_instance(instance: DlogInstance) -> VerificationReport:
         instance=instance,
         system=system,
         lemma2=lemma2,
-        lemma1_ok=lemma2.lemma1_ok,
         parts_ok=system.satisfied_by((lemma2.beta, n)),
         subgroup_index=n_q,
         candidates=candidates,

@@ -50,6 +50,13 @@ def dlog_bruteforce(ctx: CyclicContext, h: int) -> int | None:
     return None
 
 
+def teichmuller_digit(p: int, x: int) -> int:
+    """First lift digit x1 of a unit x mod p: the Teichmuller lift x + x1*p
+    is the fixed point x**p mod p**2 of the Frobenius map above x."""
+    x %= p
+    return (pow(x, p, p * p) - x) // p
+
+
 def fermat_quotient(p: int, x: int) -> int:
     """Classical Fermat quotient ((x**(p-1) mod p**2) - 1)/p, canonical mod p."""
     return (pow(x, p - 1, p * p) - 1) // p % p

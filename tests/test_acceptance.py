@@ -18,13 +18,12 @@ from dlogcrt import (
     primitive_root,
     recover_index_mod_p2,
     solve_system,
-    teichmuller_digit,
     transform,
     verify_instance,
 )
 from dlogcrt.cli import sample_instance
 
-from conftest import dlog_bruteforce, factorize, sieve
+from conftest import dlog_bruteforce, factorize, sieve, teichmuller_digit
 
 
 @contextmanager
@@ -91,9 +90,11 @@ def test_criterion_2_transform_soundness():
         assert len(reports) == 500
         seen_q = set()
         for inst, report in reports:
-            seen_q.add(inst.params.q)
-            assert 5 <= inst.params.q <= 499
-            assert report.lemma1_ok
+            q, m1, n = inst.params.q, inst.params.m1, inst.known_index
+            seen_q.add(q)
+            assert 5 <= q <= 499
+            # lemma 1, by plain powers mod pq
+            assert pow(inst.base, n * (q - 1), m1) == pow(inst.target, q - 1, m1)
             assert report.lemma2.lift_identity_ok
             assert report.lemma2.linear_congruence_ok
             assert report.lemma2.eq19_corrected_ok

@@ -134,25 +134,37 @@ class TestRecoverP2:
         assert json.loads(out)["n"] == "3"
 
     def test_derives_each_digit_and_the_carry_once(self, capsys, monkeypatch):
-        calls = {"teichmuller_digit": 0, "carry_beta_p2": 0}
+        # each Teichmuller digit is one exact division; the carry is one divmod
+        calls = []
+        exact_quotient = lift._exact_quotient
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
+        def counted(*args):
+            calls.append(args)
+            return exact_quotient(*args)
 
-            return wrapper
-
-        for name in calls:
-            wrapped = counted(name, getattr(lift, name))
-            for module in (dlogcrt, lift, cli):
-                if hasattr(module, name):
-                    monkeypatch.setattr(module, name, wrapped)
-
+        monkeypatch.setattr(lift, "_exact_quotient", counted)
         code, out = run_cli(capsys, "recover-p2", "--p", "11", "--a0", "2", "--X", "8")
         assert code == 0
         assert json.loads(out) == {"n": "3", "b0": "8", "beta": "0", "a1": "10", "b1": "10"}
-        assert calls == {"teichmuller_digit": 2, "carry_beta_p2": 1}
+        assert len(calls) == 2
+
+    @pytest.mark.parametrize(
+        "argv, code, message",
+        [
+            (("--p", "11", "--a0", "22", "--X", "8"), "not-a-unit",
+             "a0 = 0 is not a unit mod 11 (gcd = 11)"),
+            (("--p", "11", "--a0", "2", "--X", "22"), "not-a-unit",
+             "power 22 is not a unit mod 11**2"),
+            (("--p", "11", "--a0", "3", "--X", "9"), "zero-digit",
+             "base 3 has vanishing lift digit mod 11; index recovery impossible"),
+            (("--p", "15", "--a0", "2", "--X", "8"), "invalid-input", "15 is not prime"),
+        ],
+        ids=["a0-not-a-unit", "power-not-a-unit", "zero-digit", "composite-p"],
+    )
+    def test_error_documents(self, capsys, argv, code, message):
+        exit_code, out = run_cli(capsys, "recover-p2", *argv)
+        assert exit_code == 1
+        assert json.loads(out) == {"error": {"code": code, "message": message}}
 
 
 class TestExplain:

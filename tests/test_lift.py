@@ -1,80 +1,90 @@
 import random
+from functools import cache
 from math import gcd
 
 import pytest
 
 from dlogcrt import (
     SafePrimeParams,
-    carry_beta_p2,
     carry_beta_pq,
     check_lemma1,
     check_lemma2,
     lift_profile,
     primitive_root,
     recover_index_mod_p2,
-    teichmuller_digit,
 )
 from dlogcrt.errors import (
-    InconsistentInputsError,
     Lemma1ViolationError,
     NotAUnitError,
     PreconditionError,
     ZeroDigitError,
 )
 
-from conftest import CRYPTO_GROUPS, DIFFERENTIAL_GROUPS, SAFE_QS, factorize, fermat_quotient, sieve
+from conftest import (
+    CRYPTO_GROUPS,
+    DIFFERENTIAL_GROUPS,
+    SAFE_QS,
+    factorize,
+    fermat_quotient,
+    sieve,
+    teichmuller_digit,
+)
+
+
+def _digits(p: int, power: int) -> tuple[int, int]:
+    """The Teichmuller digits (a1, b1) recover_index_mod_p2 derives for the
+    unit power mod p, against p's smallest usable root."""
+    _, _, _, a1, b1 = recover_index_mod_p2(p, _smallest_usable_root(p), power)
+    return a1, b1
 
 
 class TestTeichmullerDigit:
-    def test_examples(self):
-        assert teichmuller_digit(11, 2) == 10
-        assert teichmuller_digit(11, 8) == 10
-        assert teichmuller_digit(11, 1) == 0
+    """The digits a1, b1 that recover_index_mod_p2 returns."""
 
-    def test_rejects_non_canonical_base(self):
-        with pytest.raises(PreconditionError):
-            teichmuller_digit(11, 13)
+    def test_examples(self):
+        assert _digits(11, 2) == (10, 10)
+        assert _digits(11, 8) == (10, 10)
+        assert _digits(11, 1) == (10, 0)
 
     def test_rejects_multiple_of_p(self):
-        with pytest.raises(NotAUnitError):
-            teichmuller_digit(11, 0)
+        for a0 in (0, 11):
+            with pytest.raises(NotAUnitError, match="^a0 = 0 is not a unit mod 11"):
+                recover_index_mod_p2(11, a0, 8)
 
     def test_lift_is_frobenius_fixed_point(self):
         for p in sieve(60):
             if p == 2:
                 continue
+            a0 = _smallest_usable_root(p)
             for x in range(1, p):
-                lifted = x + teichmuller_digit(p, x) * p
-                assert pow(lifted, p, p * p) == lifted, (p, x)
+                a1, b1 = _digits(p, x)
+                for base, digit in ((a0, a1), (x, b1)):
+                    lifted = base + digit * p
+                    assert pow(lifted, p, p * p) == lifted, (p, base)
 
     def test_digit_is_base_times_fermat_quotient(self):
         for p in (3, 11, 23, 47):
             for x in range(1, p):
-                assert teichmuller_digit(p, x) == x * fermat_quotient(p, x) % p
+                assert _digits(p, x)[1] == x * fermat_quotient(p, x) % p
 
 
 class TestCarryBetaP2:
+    """The carry beta with X mod p**2 = b0 + beta*p that
+    recover_index_mod_p2 returns, with b0."""
+
     def test_no_carry(self):
-        assert carry_beta_p2(11, 8, 8) == 0
+        assert recover_index_mod_p2(11, 2, 8)[1:3] == (8, 0)
 
     def test_carry_seven(self):
-        assert carry_beta_p2(11, 4, 81) == 7
+        assert recover_index_mod_p2(11, 2, 81)[1:3] == (4, 7)
 
     def test_trivial(self):
-        assert carry_beta_p2(11, 1, 1) == 0
+        assert recover_index_mod_p2(11, 2, 1)[1:3] == (1, 0)
 
     def test_power_of_two_carry(self):
         # 2**12 mod 121 = 103 = 4 + 9*11
         assert pow(2, 12, 121) == 103
-        assert carry_beta_p2(11, 4, 103) == 9
-
-    def test_rejects_inconsistent_inputs(self):
-        with pytest.raises(InconsistentInputsError):
-            carry_beta_p2(11, 4, 80)
-
-    def test_rejects_non_canonical(self):
-        with pytest.raises(PreconditionError):
-            carry_beta_p2(11, 12, 80)
+        assert recover_index_mod_p2(11, 2, 103)[1:3] == (4, 9)
 
 
 class TestRecoverIndex:
@@ -109,6 +119,7 @@ class TestRecoverIndex:
                 assert recover_index_mod_p2(p, a0, pow(a0, n, p * p))[0] == n, (p, n)
 
 
+@cache
 def _smallest_usable_root(p: int) -> int:
     """Smallest primitive root of p whose first lift digit is nonzero."""
     f = factorize(p - 1)
@@ -117,6 +128,26 @@ def _smallest_usable_root(p: int) -> int:
             if teichmuller_digit(p, g) % p != 0:
                 return g
     raise AssertionError(f"no usable root below {p}")
+
+
+def test_recover_index_mod_p2_matches_the_definitions():
+    """The whole tuple (n, b0, beta, a1, b1) for random units X mod p**2,
+    not only powers of a0, against its definitions taken with plain pow, on
+    every odd prime p < 300."""
+    rng = random.Random(300)
+    for p in sieve(300)[1:]:
+        a0 = _smallest_usable_root(p)
+        pp = p * p
+        for _ in range(20):
+            power = rng.randrange(3 * pp)
+            if power % p == 0:
+                continue
+            n, b0, beta, a1, b1 = recover_index_mod_p2(p, a0, power)
+            assert b0 == power % p
+            assert beta == (power % pp - b0) // p
+            assert (a1, b1) == (teichmuller_digit(p, a0), teichmuller_digit(p, b0))
+            assert 0 <= n < p
+            assert (beta + n * b0 * pow(a0, -1, p) * a1 - b1) % p == 0, (p, power)
 
 
 class TestCarryBetaPq:
@@ -299,7 +330,7 @@ def test_carry_and_lift_identities_match_the_definitions(pq):
             beta = carry_beta_pq(params, a0, b0, n).beta
             assert beta == (full - b_res) // m1, (p, a0, b0, n)
             report = check_lemma2(params, a0, b0, n)
-            assert report.lemma1_ok == lemma1
+            assert lemma1  # a report means lemma 1 holds
             pa, pb = report.profile_a, report.profile_b
             assert report.beta == beta
             assert report.lift_identity_ok

@@ -15,7 +15,6 @@ from dlogcrt import (
     LinearCongruence,
     LinearSystem,
     SafePrimeParams,
-    candidates_mod_group_order,
     carry_beta_pq,
     check_lemma2,
     gen_safe_prime,
@@ -192,9 +191,10 @@ class TestSubgroupIndex:
 
 class TestCandidates:
     def test_examples(self, golden, params23):
-        assert candidates_mod_group_order(2, golden) == (2, 7)
-        assert candidates_mod_group_order(0, golden) == (0, 5)
-        assert candidates_mod_group_order(10, params23) == (10, 21)
+        assert verify_instance(DlogInstance(golden, 2, 4)).candidates == (2, 7)
+        assert verify_instance(DlogInstance(golden, 2, 1)).candidates == (0, 5)
+        target = pow(5, 10, 23)
+        assert verify_instance(DlogInstance(params23, 5, target)).candidates == (10, 21)
 
 
 class TestSolveSmall:
@@ -212,10 +212,9 @@ class TestSolveSmall:
 
     def test_exactly_one_candidate_verifies(self):
         for inst in random_instances(SAFE_QS[:6], 30, seed=4):
-            n_q = subgroup_index_mod_q(inst)
             hits = [
                 c
-                for c in candidates_mod_group_order(n_q, inst.params)
+                for c in verify_instance(inst).candidates
                 if pow(inst.base, c, inst.params.p) == inst.target % inst.params.p
             ]
             assert len(hits) == 1

@@ -49,7 +49,9 @@ def recover_index_mod_p2(p: int, a0: int, power: int) -> tuple[int, int, int, in
     Writing X = b0 + beta*p and using the digits a1, b1 of a0 and b0, the
     linearized lift relation beta + n*(b0/a0)*a1 = b1 (mod p) is solved for
     n. For 1 <= n <= p - 1 the recovered index is n. Bases whose digit a1
-    vanishes mod p are rejected: the relation then says nothing.
+    vanishes mod p are rejected: the relation then says nothing. So are the
+    squares mod p (Euler) and -1 for p > 3, which cannot generate: all the
+    non-generators if p - 1 = 2q, q prime, or 2**k; not 5 mod 13 (order 4).
     """
     a0 = a0 % p
     _require_unit(a0, p, "a0")
@@ -64,6 +66,8 @@ def recover_index_mod_p2(p: int, a0: int, power: int) -> tuple[int, int, int, in
         raise ZeroDigitError(
             f"base {a0} has vanishing lift digit mod {p}; index recovery impossible"
         )
+    if pow(a0, (p - 1) // 2, p) == 1 or (a0 == p - 1 and p > 3):
+        raise PreconditionError(f"base {a0} is not a primitive root mod {p}")
     beta, b0 = divmod(power % (p * p), p)
     b1 = digit(b0)
     coeff = b0 * mod_inv(a0, p) * a1 % p
@@ -85,6 +89,8 @@ def check_lemma1(params: SafePrimeParams, a0: int, b0: int, n: int) -> bool:
 
     Preconditions (checked): a0, b0 coprime to q, and a0**n = b0 (mod p).
     Under them the congruence always holds (Fermat mod q, the premise mod p).
+    It is checked mod p and mod q, each exponent e reduced by Fermat: mod r - 1
+    for a unit, to (e - 1) mod (r - 1) + 1 for e >= 1 and any base.
     """
     if gcd(a0, params.q) != 1 or gcd(b0, params.q) != 1:
         raise PreconditionError("a0 and b0 must be units mod q")
@@ -92,9 +98,12 @@ def check_lemma1(params: SafePrimeParams, a0: int, b0: int, n: int) -> bool:
         raise PreconditionError(
             f"a0**n != b0 (mod {params.p}); the index premise is violated"
         )
-    return pow(a0, n * (params.q - 1), params.m1) == pow(
-        b0, params.q - 1, params.m1
-    )
+
+    def power(x: int, e: int, r: int) -> int:  # pow(x, e, r) for a prime r
+        return pow(x, e % (r - 1) if x % r else ((e - 1) % (r - 1) + 1 if e > 0 else e), r)
+
+    e = params.q - 1
+    return all(power(a0, n * e, r) == power(b0, e, r) for r in (params.p, params.q))
 
 
 def _linear_coefficients(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import lru_cache
 from math import gcd, isqrt, prod
 
 from .errors import (
@@ -160,6 +161,24 @@ class Factorization:
         return tuple(p for p, _ in self.factors)
 
 
+# Valid groups kept per process, 64 as quotients._PROFILES: 28 kB at 1024 bits.
+_GROUPS = 64
+
+
+@lru_cache(maxsize=_GROUPS)
+def _validate_group(p: int, q: int) -> None:
+    """The checks of SafePrimeParams. A valid (p, q) is kept; errors are not."""
+    if q < 3:
+        raise InvalidInputError(f"q must be >= 3, got {q}")
+    if not is_prime(q):
+        raise InvalidInputError(f"q = {q} is not prime")
+    safe = p == 2 * q + 1
+    if not (is_prime_2q_plus_1(q) if safe else is_prime(p)):
+        raise InvalidInputError(f"p = {p} is not prime")
+    if not safe:
+        raise InvalidInputError(f"p = {p} is not 2*{q} + 1")
+
+
 @dataclass(frozen=True)
 class SafePrimeParams:
     """Validated safe-prime parameters p = 2q + 1 with the derived moduli.
@@ -180,15 +199,7 @@ class SafePrimeParams:
     exponent: int = field(init=False)
 
     def __post_init__(self):
-        if self.q < 3:
-            raise InvalidInputError(f"q must be >= 3, got {self.q}")
-        if not is_prime(self.q):
-            raise InvalidInputError(f"q = {self.q} is not prime")
-        safe = self.p == 2 * self.q + 1
-        if not (is_prime_2q_plus_1(self.q) if safe else is_prime(self.p)):
-            raise InvalidInputError(f"p = {self.p} is not prime")
-        if not safe:
-            raise InvalidInputError(f"p = {self.p} is not 2*{self.q} + 1")
+        _validate_group(self.p, self.q)
         m1 = self.p * self.q
         object.__setattr__(self, "m1", m1)
         object.__setattr__(self, "m2", m1 * m1)

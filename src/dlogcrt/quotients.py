@@ -22,7 +22,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .errors import ExactnessError, NotAUnitError
+from .errors import ExactnessError, NotAUnitError, PreconditionError
 from .numtheory import SafePrimeParams
 
 # Lift profiles kept per process, least recently used evicted first. 64 holds
@@ -80,10 +80,10 @@ def _crt_m2(params: SafePrimeParams, r_p2: int, r_q2: int) -> int:
 
 
 def _pow_m2(params: SafePrimeParams, x: int, e: int) -> int:
-    """x**e mod (pq)**2, from the powers mod p**2 and mod q**2."""
-    return _crt_m2(
-        params, pow(x, e, params.p * params.p), pow(x, e, params.q * params.q)
-    )
+    """x**e mod (pq)**2 for x = 1 (mod q), where x**e = 1 + e*(x - 1) (mod q**2)."""
+    if x % params.q != 1:
+        raise PreconditionError(f"x = {x} is not 1 mod {params.q}")
+    return _crt_m2(params, pow(x, e, params.p**2), (1 + e * (x - 1)) % params.q**2)
 
 
 @lru_cache(maxsize=_PROFILES)

@@ -7,9 +7,13 @@ solvers) so tests check implementations against independent routes.
 
 from __future__ import annotations
 
+import importlib
+import pkgutil
+
 import pytest
 
-from dlogcrt import CyclicContext, Factorization, SafePrimeParams, check_lemma2, lift_profile
+import dlogcrt
+from dlogcrt import CyclicContext, Factorization, SafePrimeParams
 
 
 def sieve(limit: int) -> list[int]:
@@ -108,12 +112,26 @@ CRYPTO_GROUPS = [
 DIFFERENTIAL_GROUPS = [(7, 3)] + [(2 * q + 1, q) for q in SAFE_QS] + CRYPTO_GROUPS[:2]
 
 
+def _kept_caches() -> dict[str, object]:
+    """Every functools.lru_cache defined in a dlogcrt module, by qualified name."""
+    caches = {}
+    for info in pkgutil.iter_modules(dlogcrt.__path__):
+        module = importlib.import_module(f"dlogcrt.{info.name}")
+        for value in vars(module).values():
+            if hasattr(value, "cache_clear") and value.__module__.startswith("dlogcrt."):
+                caches[f"{value.__module__}.{value.__qualname__}"] = value
+    return caches
+
+
+KEPT_CACHES = _kept_caches()
+
+
 @pytest.fixture(autouse=True)
-def fresh_derivation_caches():
-    """Empty the per-process lift-profile and lemma-2 caches before each test,
-    so that no test's call counts depend on the tests run before it."""
-    lift_profile.cache_clear()
-    check_lemma2.cache_clear()
+def fresh_caches():
+    """Empty every per-process cache of the package before each test, so that
+    no test's call counts depend on the tests run before it."""
+    for cache in KEPT_CACHES.values():
+        cache.cache_clear()
 
 
 @pytest.fixture

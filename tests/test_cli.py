@@ -158,8 +158,11 @@ class TestRecoverP2:
             (("--p", "11", "--a0", "3", "--X", "9"), "zero-digit",
              "base 3 has vanishing lift digit mod 11; index recovery impossible"),
             (("--p", "15", "--a0", "2", "--X", "8"), "invalid-input", "15 is not prime"),
+            # 4 has order 5 mod 11, so no power of 4 is 2
+            (("--p", "11", "--a0", "4", "--X", "2"), "precondition-violated",
+             "base 4 is not a primitive root mod 11"),
         ],
-        ids=["a0-not-a-unit", "power-not-a-unit", "zero-digit", "composite-p"],
+        ids=["a0-not-a-unit", "power-not-a-unit", "zero-digit", "composite-p", "a0-not-a-generator"],
     )
     def test_error_documents(self, capsys, argv, code, message):
         exit_code, out = run_cli(capsys, "recover-p2", *argv)

@@ -3,6 +3,8 @@ from functools import cache
 from math import gcd
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from dlogcrt import (
     SafePrimeParams,
@@ -19,6 +21,7 @@ from dlogcrt.errors import (
     PreconditionError,
     ZeroDigitError,
 )
+from dlogcrt.quotients import _pow_m2
 
 from conftest import (
     CRYPTO_GROUPS,
@@ -110,6 +113,21 @@ class TestRecoverIndex:
         # a0**(p-1) reduces to 1 mod p; recovery must land on p - 1, not 0
         assert recover_index_mod_p2(11, 2, pow(2, 10, 121))[0] == 10
 
+    def test_rejects_exactly_the_non_generators_of_safe_primes(self):
+        # order by walking the powers; 5 mod 13 (order 4) shows the limit
+        for p in [2 * q + 1 for q in [3] + SAFE_QS[:8]]:
+            for a0 in range(1, p):
+                order = next(k for k in range(1, p) if pow(a0, k, p) == 1)
+                try:
+                    recover_index_mod_p2(p, a0, a0)
+                except ZeroDigitError:
+                    continue
+                except PreconditionError:
+                    assert order < p - 1, (p, a0)
+                else:
+                    assert order == p - 1, (p, a0)
+        assert recover_index_mod_p2(13, 5, 5)[0] == 1
+
     def test_round_trip_small_primes(self):
         for p in sieve(500):
             if p == 2:
@@ -148,6 +166,56 @@ def test_recover_index_mod_p2_matches_the_definitions():
             assert (a1, b1) == (teichmuller_digit(p, a0), teichmuller_digit(p, b0))
             assert 0 <= n < p
             assert (beta + n * b0 * pow(a0, -1, p) * a1 - b1) % p == 0, (p, power)
+
+
+@pytest.mark.parametrize(
+    "pq", DIFFERENTIAL_GROUPS, ids=lambda pq: f"{pq[0].bit_length()}bit-q{pq[1] % 10**6}"
+)
+def test_check_lemma1_matches_the_direct_powers(pq):
+    """check_lemma1's Fermat-reduced powers mod p and mod q against the
+    direct powers mod pq: bases and targets below pq, (pq)**2 and (pq)**3,
+    bases divisible by p (targets then 0 mod p unless n = 0), and indices 0,
+    multiples of q and p - 1, random ones and, for units, negative ones."""
+    params = SafePrimeParams(*pq)
+    p, q, m1 = params.p, params.q, params.m1
+    rng = random.Random(q)
+    for bound in (m1, m1**2, m1**3):
+        for n in (0, 1, q, 2 * q, p - 1, rng.randrange(4 * p), -rng.randrange(1, 4 * p)):
+            for divisible in (False, True) if n >= 0 else (False,):
+                a0 = b0 = 0
+                while gcd(a0, q) != 1 or (a0 % p == 0) != divisible:
+                    a0 = rng.randrange(1, bound)
+                    a0 -= a0 % p if divisible else 0
+                while gcd(b0, q) != 1:
+                    b0 = pow(a0, n, p) + p * rng.randrange(bound // p)
+                direct = pow(a0, n * (q - 1), m1) == pow(b0, q - 1, m1)
+                assert check_lemma1(params, a0, b0, n) == direct, (a0, b0, n)
+
+
+@pytest.mark.parametrize("pq", CRYPTO_GROUPS, ids=lambda pq: f"{pq[0].bit_length()}bit")
+def test_index_power_matches_the_direct_power(pq):
+    """beta and _pow_m2, whose q**2 half is the binomial closed form, against
+    pow(a0, n*(q-1), (pq)**2) at 256, 512 and 1024 bits."""
+    params = SafePrimeParams(*pq)
+    p, q, m1, m2 = params.p, params.q, params.m1, params.m2
+
+    @settings(max_examples=5, deadline=None)
+    @given(a0=st.integers(2, m2 - 1), n=st.integers(0, 4 * p), k=st.integers(0, q - 1))
+    def check(a0, n, k):
+        b0 = pow(a0, n, p) + k * p
+        assume(gcd(a0, m1) == 1 and gcd(b0, m1) == 1)
+        full = pow(a0, n * (q - 1), m2)
+        assert _pow_m2(params, pow(a0, q - 1, m2), n) == full
+        assert check_lemma2(params, a0, b0, n).beta == (full - pow(b0, q - 1, m1)) // m1
+
+    check()
+
+
+def test_pow_m2_rejects_a_base_not_1_mod_q(golden):
+    assert _pow_m2(golden, 11, 3) == pow(11, 3, golden.m2)
+    for x in (0, 2, 10):
+        with pytest.raises(PreconditionError, match=f"^x = {x} is not 1 mod 5"):
+            _pow_m2(golden, x, 3)
 
 
 class TestCarryBetaPq:

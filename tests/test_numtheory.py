@@ -21,7 +21,7 @@ from dlogcrt.numtheory import (
 from sympy import isprime, nextprime
 from sympy.ntheory.primetest import is_strong_lucas_prp
 
-from conftest import PRIMES_1000, factorize, sieve
+from conftest import KEPT_CACHES, PRIMES_1000, factorize, sieve
 
 # The strong Lucas pseudoprimes below 60000 (Selfridge method A parameters)
 STRONG_LUCAS_PSEUDOPRIMES = (
@@ -186,8 +186,22 @@ class TestSafePrimeParams:
         ],
     )
     def test_rejection_messages(self, p, q, message):
-        with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
-            SafePrimeParams(p, q)
+        # a valid group is kept per process; a rejection is not, so it repeats
+        for _ in range(2):
+            with pytest.raises(InvalidInputError, match=f"^{re.escape(message)}$"):
+                SafePrimeParams(p, q)
+
+
+def test_every_kept_cache_is_cleared_between_tests():
+    """conftest's autouse fixture clears the caches its scan finds; the scan
+    must find every cache the package keeps today."""
+    assert {
+        "dlogcrt.numtheory._validate_group",
+        "dlogcrt.quotients.lift_profile",
+        "dlogcrt.lift.check_lemma2",
+        "dlogcrt.cli._group",
+    } <= set(KEPT_CACHES)
+    assert all(cache.cache_info().currsize == 0 for cache in KEPT_CACHES.values())
 
 
 class TestGenSafePrime:

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dlogcrt
-from dlogcrt import lift, oracle, quotients, reduction
+from dlogcrt import lift, numtheory, oracle, quotients, reduction
 from dlogcrt import (
     CongruenceSystem,
     DlogInstance,
@@ -148,29 +148,38 @@ def test_reduction_at_cryptographic_size(pq):
 def test_checked_reduction_shares_one_derivation(monkeypatch):
     """transform, check_lemma1, check_lemma2 and carry_beta_pq on one fresh
     256-bit instance derive the two lift profiles and the index power once;
-    a second target of the group derives only its own profile."""
-    params, a0 = crypto_group(CRYPTO_GROUPS[0])
-    powers = 0
-    pow_m2 = lift._pow_m2
+    a second target of the group derives only its own profile. Each
+    reduction builds its own SafePrimeParams, and only the first tests q."""
+    p, q = CRYPTO_GROUPS[0]
+    a0 = primitive_root(p, Factorization(((2, 1), (q, 1))))
+    calls = {"is_prime": 0, "_pow_m2": 0}
 
-    def counted(*args):
-        nonlocal powers
-        powers += 1
-        return pow_m2(*args)
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
 
-    monkeypatch.setattr(lift, "_pow_m2", counted)
+        return wrapper
+
+    for module, name in ((numtheory, "is_prime"), (lift, "_pow_m2")):
+        monkeypatch.setattr(module, name, counted(name, getattr(module, name)))
 
     def check_reduction(n):
-        b0 = pow(a0, n, params.p)
+        params = SafePrimeParams(p, q)
+        b0 = pow(a0, n, p)
         transform(DlogInstance(params, a0, b0, known_index=n))
         assert lift.check_lemma1(params, a0, b0, n)
         assert check_lemma2(params, a0, b0, n).corrected_ok
         carry_beta_pq(params, a0, b0, n)
 
     check_reduction(2**200 + 12345)
-    assert (quotients.lift_profile.cache_info().misses, powers) == (2, 1)
+    assert (calls, quotients.lift_profile.cache_info().misses) == (
+        {"is_prime": 1, "_pow_m2": 1}, 2
+    )
     check_reduction(2**200 + 12346)
-    assert (quotients.lift_profile.cache_info().misses, powers) == (3, 2)
+    assert (calls, quotients.lift_profile.cache_info().misses) == (
+        {"is_prime": 1, "_pow_m2": 2}, 3
+    )
 
 
 class TestSubgroupIndex:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd
 
-from .arith import mod_inv
+from .arith import _pow_fixed, mod_inv
 from .errors import (
     Lemma1ViolationError,
     NotAUnitError,
@@ -90,20 +90,22 @@ def check_lemma1(params: SafePrimeParams, a0: int, b0: int, n: int) -> bool:
     Preconditions (checked): a0, b0 coprime to q, and a0**n = b0 (mod p).
     Under them the congruence always holds (Fermat mod q, the premise mod p).
     It is checked mod p and mod q, each exponent e reduced by Fermat: mod r - 1
-    for a unit, to (e - 1) mod (r - 1) + 1 for e >= 1 and any base.
+    for a unit, to (e - 1) mod (r - 1) + 1 for e >= 1 and any base. The
+    premise and a0's side use a0's kept power tables (arith._pow_fixed); no
+    profile or lemma-2 report is read, so the route stays independent.
     """
     if gcd(a0, params.q) != 1 or gcd(b0, params.q) != 1:
         raise PreconditionError("a0 and b0 must be units mod q")
-    if pow(a0, n, params.p) != b0 % params.p:
+    if _pow_fixed(a0, n, params.p) != b0 % params.p:
         raise PreconditionError(
             f"a0**n != b0 (mod {params.p}); the index premise is violated"
         )
 
-    def power(x: int, e: int, r: int) -> int:  # pow(x, e, r) for a prime r
-        return pow(x, e % (r - 1) if x % r else ((e - 1) % (r - 1) + 1 if e > 0 else e), r)
+    def power(x: int, e: int, r: int, kernel=pow) -> int:  # x**e mod a prime r
+        return kernel(x, e % (r - 1) if x % r else ((e - 1) % (r - 1) + 1 if e > 0 else e), r)
 
     e = params.q - 1
-    return all(power(a0, n * e, r) == power(b0, e, r) for r in (params.p, params.q))
+    return all(power(a0, n * e, r, _pow_fixed) == power(b0, e, r) for r in (params.p, params.q))
 
 
 def _linear_coefficients(
@@ -170,10 +172,8 @@ def check_lemma2(params: SafePrimeParams, a0: int, b0: int, n: int) -> Lemma2Rep
     prof_a = lift_profile(params, a0)
     prof_b = lift_profile(params, b0)
     a_res, b_res, k_a = prof_a.power_residue, prof_b.power_residue, prof_a.carry
-    if pow(a0, n, p) != b0 % p:
-        raise Lemma1ViolationError(
-            f"a0**n = {pow(a0, n, p)} != b0 = {b0 % p} (mod {p})"
-        )
+    if (a_n := _pow_fixed(a0, n, p)) != b0 % p:
+        raise Lemma1ViolationError(f"a0**n = {a_n} != b0 = {b0 % p} (mod {p})")
     full = _pow_m2(params, a_res + k_a * m1, n)
     if full % m1 != b_res:
         raise Lemma1ViolationError(

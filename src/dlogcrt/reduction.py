@@ -9,7 +9,7 @@ from dataclasses import dataclass, replace
 from functools import reduce
 from math import gcd
 
-from .arith import crt_pair
+from .arith import _pow_fixed, crt_pair
 from .errors import InvalidInstanceError, NoSolutionError
 from .lift import Lemma2Report, _linear_coefficients, check_lemma2
 from .mcrt import LinearEquation, LinearSystem
@@ -36,14 +36,14 @@ class DlogInstance:
                 raise InvalidInstanceError(
                     f"{name} = {x} is not a unit mod {m1} (gcd = {g})"
                 )
-        if pow(self.base, 2, p) == 1 or pow(self.base, q, p) == 1:
+        if pow(self.base, 2, p) == 1 or _pow_fixed(self.base, q, p) == 1:
             raise InvalidInstanceError(
                 f"base = {self.base} is not a primitive root of {p}"
             )
         if self.known_index is not None:
             if self.known_index < 0:
                 raise InvalidInstanceError("known index must be nonnegative")
-            if pow(self.base, self.known_index, p) != self.target % p:
+            if _pow_fixed(self.base, self.known_index, p) != self.target % p:
                 raise InvalidInstanceError(
                     f"base**{self.known_index} != target (mod {p})"
                 )

@@ -7,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import dlogcrt
-from dlogcrt import lift, numtheory, oracle, quotients, reduction
+from dlogcrt import arith, cli, lift, numtheory, oracle, quotients, reduction
 from dlogcrt import (
     CongruenceSystem,
     DlogInstance,
@@ -145,11 +145,14 @@ def test_reduction_at_cryptographic_size(pq):
     check()
 
 
-def test_checked_reduction_shares_one_derivation(monkeypatch):
+def test_checked_reduction_shares_one_derivation(monkeypatch, capsys):
     """transform, check_lemma1, check_lemma2 and carry_beta_pq on one fresh
     256-bit instance derive the two lift profiles and the index power once;
     a second target of the group derives only its own profile. Each
-    reduction builds its own SafePrimeParams, and only the first tests q."""
+    reduction builds its own SafePrimeParams, and only the first tests q.
+    The first builds the group's 3 fixed-base power tables (a0 mod p and
+    mod q, s_a mod p**2), the second none; an experiment run, whose p has at
+    most 10 bits (p**2 at most 20), builds none either."""
     p, q = CRYPTO_GROUPS[0]
     a0 = primitive_root(p, Factorization(((2, 1), (q, 1))))
     calls = {"is_prime": 0, "_pow_m2": 0}
@@ -172,14 +175,18 @@ def test_checked_reduction_shares_one_derivation(monkeypatch):
         assert check_lemma2(params, a0, b0, n).corrected_ok
         carry_beta_pq(params, a0, b0, n)
 
+    def misses():
+        return quotients.lift_profile.cache_info().misses, arith._powers.cache_info().misses
+
     check_reduction(2**200 + 12345)
-    assert (calls, quotients.lift_profile.cache_info().misses) == (
-        {"is_prime": 1, "_pow_m2": 1}, 2
-    )
+    assert (calls, misses()) == ({"is_prime": 1, "_pow_m2": 1}, (2, 3))
     check_reduction(2**200 + 12346)
-    assert (calls, quotients.lift_profile.cache_info().misses) == (
-        {"is_prime": 1, "_pow_m2": 2}, 3
-    )
+    assert (calls, misses()) == ({"is_prime": 1, "_pow_m2": 2}, (3, 3))
+    assert cli.main(["experiment", "--count", "50", "--seed", "1"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 50
+    for g, m in ((a0, p), (a0, q), (pow(a0, q - 1, p * p), p * p)):
+        arith._powers(g % m, m)
+    assert arith._powers.cache_info().misses == 3
 
 
 class TestSubgroupIndex:

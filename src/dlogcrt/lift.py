@@ -89,23 +89,23 @@ def check_lemma1(params: SafePrimeParams, a0: int, b0: int, n: int) -> bool:
 
     Preconditions (checked): a0, b0 coprime to q, and a0**n = b0 (mod p).
     Under them the congruence always holds (Fermat mod q, the premise mod p).
-    It is checked mod p and mod q, each exponent e reduced by Fermat: mod r - 1
-    for a unit, to (e - 1) mod (r - 1) + 1 for e >= 1 and any base. The
-    premise and a0's side use a0's kept power tables (arith._pow_fixed); no
-    profile or lemma-2 report is read, so the route stays independent.
+    Mod q both sides are 1 by Fermat, as both bases are units there, so it is
+    checked mod p, each exponent e reduced by Fermat: mod p - 1 for a unit, to
+    (e - 1) mod (p - 1) + 1 for e >= 1 and any base. The premise and a0's
+    side use a0's kept power tables (arith._pow_fixed); no profile or lemma-2
+    report is read, so the route stays independent.
     """
+    p = params.p
     if gcd(a0, params.q) != 1 or gcd(b0, params.q) != 1:
         raise PreconditionError("a0 and b0 must be units mod q")
-    if _pow_fixed(a0, n, params.p) != b0 % params.p:
-        raise PreconditionError(
-            f"a0**n != b0 (mod {params.p}); the index premise is violated"
-        )
+    if _pow_fixed(a0, n, p) != b0 % p:
+        raise PreconditionError(f"a0**n != b0 (mod {p}); the index premise is violated")
 
-    def power(x: int, e: int, r: int, kernel=pow) -> int:  # x**e mod a prime r
-        return kernel(x, e % (r - 1) if x % r else ((e - 1) % (r - 1) + 1 if e > 0 else e), r)
+    def power(x: int, e: int, kernel=pow) -> int:  # x**e mod p
+        return kernel(x, e % (p - 1) if x % p else ((e - 1) % (p - 1) + 1 if e > 0 else e), p)
 
     e = params.q - 1
-    return all(power(a0, n * e, r, _pow_fixed) == power(b0, e, r) for r in (params.p, params.q))
+    return power(a0, n * e, _pow_fixed) == power(b0, e)
 
 
 def _linear_coefficients(

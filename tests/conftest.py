@@ -13,7 +13,7 @@ import pkgutil
 import pytest
 
 import dlogcrt
-from dlogcrt import CyclicContext, Factorization, SafePrimeParams
+from dlogcrt import CyclicContext, Factorization, SafePrimeParams, oracle
 
 
 def sieve(limit: int) -> list[int]:
@@ -128,10 +128,13 @@ KEPT_CACHES = _kept_caches()
 
 @pytest.fixture(autouse=True)
 def fresh_caches():
-    """Empty every per-process cache of the package before each test, so that
-    no test's call counts depend on the tests run before it."""
+    """Empty every per-process cache of the package before each test (every
+    lru_cache, and the kept baby-step tables with their lane constants), so
+    that no test's call counts or first query depend on the tests run before
+    it."""
     for cache in KEPT_CACHES.values():
         cache.cache_clear()
+    oracle._tables = oracle._Tables()
 
 
 @pytest.fixture

@@ -20,7 +20,7 @@ def scan_single(coeffs, constant, m):
     ]
 
 
-class TestSolveSingle:
+class TestSolveSystemOneEquation:
     """One linear congruence, solved as a one-equation system."""
 
     def test_golden_mod_5(self):

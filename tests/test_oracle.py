@@ -3,11 +3,22 @@ import sys
 import threading
 import time
 from collections import OrderedDict
+from math import gcd
 
 import pytest
 from sympy.ntheory import discrete_log
 
-from dlogcrt import CyclicContext, Factorization, dlog_bsgs, oracle, primitive_root
+from dlogcrt import (
+    CyclicContext,
+    DlogInstance,
+    Factorization,
+    SafePrimeParams,
+    dlog_bsgs,
+    is_prime,
+    oracle,
+    primitive_root,
+    solve_small,
+)
 from dlogcrt.errors import InvalidInputError, OrderTooLargeError
 
 from conftest import SAFE_QS, dlog_bruteforce, factorize, sieve
@@ -39,7 +50,7 @@ class YieldingDict(OrderedDict):
 
 
 def held_entries(tables) -> int:
-    return sum(len(baby) for _, baby, _ in tables.by_group.values())
+    return sum(len(baby) for _, baby, _, _ in tables.by_group.values())
 
 
 class TestCyclicContext:
@@ -162,6 +173,56 @@ class TestBsgsDifferential:
             ctx = CyclicContext(g, p, 4 * (p - 1) ** 2)  # p - 1 table entries
             for h in range(1, p):
                 assert dlog_bsgs(ctx, h) == discrete_log(p, h, g) == dlog_bruteforce(ctx, h)
+
+
+class TestBsgsDifferentialLanes(TestBsgsDifferential):
+    """The differential tests above with every group on the lane path, in
+    batches of 1 and of 7 lanes: one batch longer than the giant phase of
+    order 5 and 11, and many batches a query, the last one cut short, above."""
+
+    @pytest.fixture(autouse=True, params=[1, 7])
+    def lanes(self, request, monkeypatch):
+        batches = []
+        lane_powers = oracle._lane_powers
+        monkeypatch.setattr(oracle, "_LANE_STEPS", 0)
+        monkeypatch.setattr(oracle, "_LANES", request.param)
+        monkeypatch.setattr(
+            oracle, "_lane_powers", lambda *args: batches.append(1) or lane_powers(*args)
+        )
+        yield
+        assert batches  # the lane path ran
+
+
+# Safe-prime groups above the lane threshold: the 36- and 38-bit groups of
+# gen_safe_prime(bits, seed=1), with the smallest primitive root
+LANE_GROUPS = [(45275519699, 22637759849, 2), (159621863267, 79810931633, 2)]
+
+
+class TestLanePath:
+    @pytest.mark.parametrize("p, q, a0", LANE_GROUPS, ids=("36bit", "38bit"))
+    def test_solve_on_lane_groups(self, p, q, a0):
+        params = SafePrimeParams(p, q)
+        for n in (0, 1, q - 1, random.Random(p).randrange(p - 1)):
+            b0 = pow(a0, n, p)  # q for n = q - 1: the target is b0 + p
+            target = b0 if gcd(b0, q) == 1 else b0 + p
+            found = solve_small(DlogInstance(params, a0, target))
+            assert pow(a0, found, p) == b0 and found == n, n
+        [(_, _, _, lanes)] = oracle._tables.by_group.values()
+        assert lanes is not None
+
+    def test_moduli_from_2_to_the_64_take_the_plain_loop(self, tables, monkeypatch):
+        # a prime m > 2**64 with m - 1 divisible by 1019, and a generator of
+        # the order-1019 subgroup, asked with a claimed order multiple too
+        monkeypatch.setattr(oracle, "_LANE_STEPS", 0)
+        m = next(m for m in range(2**64 + 1, 2**65) if m % 2038 == 1 and is_prime(m))
+        g = pow(3, (m - 1) // 1019, m)
+        for order in (1019, 3 * 1019):
+            ctx = CyclicContext(g, m, order)
+            for n in range(1019):
+                h = pow(g, n, m)
+                assert dlog_bsgs(ctx, h) == n == dlog_bruteforce(ctx, h)
+            assert dlog_bsgs(ctx, 2) is None is dlog_bruteforce(ctx, 2)
+        assert [table[3] for table in tables.by_group.values()] == [None, None]
 
 
 class TestTableCache:

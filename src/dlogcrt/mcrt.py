@@ -98,7 +98,7 @@ def _column_reduce(coeffs: list[int]) -> tuple[int, list[list[int]]]:
             c0, cj = row[0], row[j]
             row[0] = s * c0 + t * cj
             row[j] = -(b // g) * c0 + (a // g) * cj
-        v[0], v[j] = g, 0
+        v[0] = g
     return v[0], u
 
 

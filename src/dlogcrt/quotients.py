@@ -84,7 +84,7 @@ def _pow_m2(params: SafePrimeParams, x: int, e: int) -> int:
     """x**e mod (pq)**2 for x = 1 (mod q), where x**e = 1 + e*(x - 1) (mod q**2)."""
     if x % params.q != 1:
         raise PreconditionError(f"x = {x} is not 1 mod {params.q}")
-    return _crt_m2(params, _pow_fixed(x, e, params.p**2), (1 + e * (x - 1)) % params.q**2)
+    return _crt_m2(params, _pow_fixed(x, e, params.p**2), 1 + e * (x - 1))
 
 
 @lru_cache(maxsize=_PROFILES)

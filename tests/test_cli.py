@@ -161,8 +161,18 @@ class TestRecoverP2:
             # 4 has order 5 mod 11, so no power of 4 is 2
             (("--p", "11", "--a0", "4", "--X", "2"), "precondition-violated",
              "base 4 is not a primitive root mod 11"),
+            # 5 has order 4 mod 13 and is not a square: caught by r = 3
+            (("--p", "13", "--a0", "5", "--X", "2"), "precondition-violated",
+             "base 5 is not a primitive root mod 13"),
+            # p - 1 = 14 * 65537 * 65539
+            (("--p", "60133212203", "--a0", "2", "--X", "2"), "precondition-violated",
+             "cannot confirm that base 2 generates the units mod 60133212203: p - 1 has"
+             " the composite factor 4295229443 with no prime factor below 65536"),
         ],
-        ids=["a0-not-a-unit", "power-not-a-unit", "zero-digit", "composite-p", "a0-not-a-generator"],
+        ids=[
+            "a0-not-a-unit", "power-not-a-unit", "zero-digit", "composite-p", "a0-not-a-generator",
+            "a0-order-4-mod-13", "p-minus-1-not-factored",
+        ],
     )
     def test_error_documents(self, capsys, argv, code, message):
         exit_code, out = run_cli(capsys, "recover-p2", *argv)

@@ -11,11 +11,13 @@ from dlogcrt import (
     carry_beta_pq,
     check_lemma1,
     check_lemma2,
+    is_prime,
     lift_profile,
     primitive_root,
     recover_index_mod_p2,
 )
 from dlogcrt.errors import (
+    DlogCrtError,
     Lemma1ViolationError,
     NotAUnitError,
     PreconditionError,
@@ -114,7 +116,7 @@ class TestRecoverIndex:
         assert recover_index_mod_p2(11, 2, pow(2, 10, 121))[0] == 10
 
     def test_rejects_exactly_the_non_generators_of_safe_primes(self):
-        # order by walking the powers; 5 mod 13 (order 4) shows the limit
+        # order by walking the powers; 5 mod 13 (order 4, not a square) too
         for p in [2 * q + 1 for q in [3] + SAFE_QS[:8]]:
             for a0 in range(1, p):
                 order = next(k for k in range(1, p) if pow(a0, k, p) == 1)
@@ -126,7 +128,38 @@ class TestRecoverIndex:
                     assert order < p - 1, (p, a0)
                 else:
                     assert order == p - 1, (p, a0)
-        assert recover_index_mod_p2(13, 5, 5)[0] == 1
+        with pytest.raises(PreconditionError, match="^base 5 is not a primitive root mod 13$"):
+            recover_index_mod_p2(13, 5, 5)
+
+    def test_every_answer_below_200_matches_brute_force(self):
+        # every prime p < 200 (13 is the first whose p - 1 is neither 2q nor
+        # 2**k), every a0 < p and a grid of X: an answer n needs a0 of order
+        # p - 1 (walking its powers) and some N = n (mod p) below p(p - 1)
+        # with a0**N = X (mod p**2); a unit X, a generator and a nonzero
+        # digit give an answer, anything else a domain error
+        for p in sieve(200):
+            pp = p * p
+            for a0 in range(p):
+                order = next((k for k in range(1, p) if pow(a0, k, p) == 1), None)
+                usable = order == p - 1 and teichmuller_digit(p, a0) % p != 0
+                for x in (1, 2, 3, p, p + 1, pp - 1):
+                    try:
+                        n = recover_index_mod_p2(p, a0, x)[0]
+                    except DlogCrtError:
+                        assert not (usable and x % p), (p, a0, x)
+                        continue
+                    assert usable, (p, a0, x)
+                    assert any(pow(a0, n + p * t, pp) == x % pp for t in range(p - 1)), (p, a0, x)
+
+    def test_unfactored_p_minus_1_cannot_confirm_a_generator(self):
+        # p - 1 = 14 * 65537 * 65539: trial division below 2**16 leaves the
+        # composite 65537 * 65539; 2 passes the checks by 2 and 7
+        p = 14 * 65537 * 65539 + 1
+        assert is_prime(p) and all(pow(2, (p - 1) // r, p) != 1 for r in (2, 7))
+        with pytest.raises(PreconditionError, match="^cannot confirm that base 2 generates"):
+            recover_index_mod_p2(p, 2, 2)
+        with pytest.raises(PreconditionError, match="^base 4 is not a primitive root"):
+            recover_index_mod_p2(p, 4, 2)
 
     def test_round_trip_small_primes(self):
         for p in sieve(500):

@@ -50,7 +50,7 @@ class YieldingDict(OrderedDict):
 
 
 def held_entries(tables) -> int:
-    return sum(len(baby) for _, baby, _, _ in tables.by_group.values())
+    return sum(len(powers) for _, _, powers, _, _ in tables.by_group.values())
 
 
 class TestCyclicContext:
@@ -207,7 +207,7 @@ class TestLanePath:
             target = b0 if gcd(b0, q) == 1 else b0 + p
             found = solve_small(DlogInstance(params, a0, target))
             assert pow(a0, found, p) == b0 and found == n, n
-        [(_, _, _, lanes)] = oracle._tables.by_group.values()
+        [(*_, lanes)] = oracle._tables.by_group.values()
         assert lanes is not None
 
     def test_moduli_from_2_to_the_64_take_the_plain_loop(self, tables, monkeypatch):
@@ -222,7 +222,61 @@ class TestLanePath:
                 h = pow(g, n, m)
                 assert dlog_bsgs(ctx, h) == n == dlog_bruteforce(ctx, h)
             assert dlog_bsgs(ctx, 2) is None is dlog_bruteforce(ctx, 2)
-        assert [table[3] for table in tables.by_group.values()] == [None, None]
+        assert [table[-1] for table in tables.by_group.values()] == [None, None]
+
+
+class TestSetProbe:
+    """The frozenset probe and the list index at their edges: the first lane
+    of a batch with two hits, the smallest j among repeated baby values, and
+    the bound n < order on the last giant step."""
+
+    @pytest.fixture(params=[None, 7], ids=["plain", "lanes7"])
+    def lanes(self, request, monkeypatch):
+        if request.param:
+            monkeypatch.setattr(oracle, "_LANE_STEPS", 0)
+            monkeypatch.setattr(oracle, "_LANES", request.param)
+        return request.param
+
+    def test_batch_with_two_hits_returns_its_first_lane(self, tables, monkeypatch):
+        # at order q**2 the step s is below q, so lane i of the first batch
+        # holds a**(n - i*s) and hits when (n - i*s) mod q < s
+        monkeypatch.setattr(oracle, "_LANE_STEPS", 0)
+        monkeypatch.setattr(oracle, "_LANES", 7)
+        doubles = 0
+        for q in (23, 83, 131):
+            p, a, _ = subgroup(q)
+            ctx = CyclicContext(a, p, q * q)
+            for n in range(q):
+                h = pow(a, n, p)
+                assert dlog_bsgs(ctx, h) == n == dlog_bruteforce(ctx, h), (q, n)
+                step = tables.by_group[(a, p, q * q)][0]
+                hits = [i for i in range(7) if (n - i * step) % q < step]
+                doubles += len(hits) > 1 and hits[0] > 0
+        assert doubles > 0
+
+    def test_repeated_baby_values_give_the_smallest_j(self, lanes, tables):
+        # at order 8*q**2 the step exceeds q, so a**j = a**(j + q) for j < step - q
+        for q in (5, 23, 83):
+            p, a, _ = subgroup(q)
+            ctx = CyclicContext(a, p, 8 * q * q)
+            for n in range(q):
+                h = pow(a, n, p)
+                assert dlog_bsgs(ctx, h) == n == dlog_bruteforce(ctx, h), (q, n)
+            _, baby, powers, _, _ = tables.by_group[(a, p, 8 * q * q)]
+            assert len(powers) > q == len(baby)
+
+    def test_hit_past_the_order_on_the_last_step_is_rejected(self, lanes, tables, monkeypatch):
+        # a valid order is a multiple of the generator's, and a last-step hit
+        # past it was then found at step 0; order 9 below a's order 23, past
+        # the check, gives step 2 and 5 giant steps, and a**9 hits the last
+        # one with j = 1
+        monkeypatch.setattr(CyclicContext, "__post_init__", lambda self: None)
+        p, a, _ = subgroup(23)
+        ctx = CyclicContext(a, p, 9)
+        for n in range(23):
+            h = pow(a, n, p)
+            assert dlog_bsgs(ctx, h) == (n if n < 9 else None) == dlog_bruteforce(ctx, h), n
+        assert tables.by_group[(a, p, 9)][0] == 2
 
 
 class TestTableCache:
@@ -239,7 +293,7 @@ class TestTableCache:
         assert dlog_bsgs(CyclicContext(a, p, 491), pow(a, 300, p)) == 300
         assert built == [(a, p, 491)]
         assert list(tables.by_group) == [(a, p, 491)]
-        assert tables.entries == 12  # ceil(sqrt(491) / 2)
+        assert tables.entries == 13  # ceil(11/20 * sqrt(491))
 
     def test_held_entries_stay_within_bound(self, tables, monkeypatch):
         monkeypatch.setattr(oracle, "_TABLE_ENTRIES", 40)
@@ -256,14 +310,14 @@ class TestTableCache:
         monkeypatch.setattr(oracle, "_TABLE_ENTRIES", 11)
         small_p, small_a, _ = subgroup(5)
         assert dlog_bsgs(CyclicContext(small_a, small_p, 5), pow(small_a, 3, small_p)) == 3
-        p, a, _ = subgroup(491)  # a 12-entry table
+        p, a, _ = subgroup(491)  # a 13-entry table
         for n in (0, 1, 245, 490):
             assert dlog_bsgs(CyclicContext(a, p, 491), pow(a, n, p)) == n
         assert list(tables.by_group) == [(small_a, small_p, 5)]
         assert tables.entries == 2
 
     def test_oldest_tables_are_evicted_first(self, tables, monkeypatch):
-        # tables of 3, 5, 6 and 8 entries against a bound of 16
+        # tables of 3, 6, 7 and 9 entries against a bound of 16
         monkeypatch.setattr(oracle, "_TABLE_ENTRIES", 16)
         keys = []
         for q in (23, 83, 131, 239):
@@ -271,11 +325,11 @@ class TestTableCache:
             assert dlog_bsgs(CyclicContext(a, p, q), pow(a, q - 1, p)) == q - 1
             keys.append((a, p, q))
         assert list(tables.by_group) == keys[2:]
-        assert tables.entries == 14
+        assert tables.entries == 16
         p, a, _ = subgroup(83)
         dlog_bsgs(CyclicContext(a, p, 83), a)
         assert list(tables.by_group) == [keys[3], keys[1]]
-        assert tables.entries == 13
+        assert tables.entries == 15
 
     def test_threads_keep_the_count_exact(self, tables, monkeypatch):
         # more threads than cores, switching often and inside every

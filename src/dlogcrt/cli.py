@@ -161,8 +161,13 @@ def sample_instance(rng: random.Random, qmin: int, qmax: int) -> DlogInstance:
     numbers, so the draws are the same whether it hits or not."""
     if not 3 <= qmin <= qmax:
         raise SearchExhaustedError(f"bad subgroup prime range [{qmin}, {qmax}]")
+    # q is _rand_below(rng, span) inlined: the same getrandbits calls
+    span = qmax - qmin + 1
+    bits, draw = (span - 1).bit_length(), rng.getrandbits
     for _ in range(SAMPLE_MAX_DRAWS):
-        q = qmin + _rand_below(rng, qmax - qmin + 1)
+        while (x := draw(bits)) >= span:
+            pass
+        q = qmin + x
         group = _group(q)
         if group is None:
             continue
@@ -191,8 +196,8 @@ def _print_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
-def _json_line(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, separators=(",", ":"))
+# one encoder per process; json.dumps with options builds one per call
+_json_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
 def _explain_lines(report: VerificationReport) -> list[str]:
@@ -289,7 +294,9 @@ def gen_bits(text: str) -> int:
     return value
 
 
+@lru_cache(maxsize=1)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process (parsing does not change it)."""
     parser = argparse.ArgumentParser(
         prog="dlogcrt",
         description=(

@@ -1,3 +1,4 @@
+import argparse
 import ast
 import csv
 import hashlib
@@ -9,6 +10,7 @@ import subprocess
 import sys
 import time
 from contextlib import redirect_stderr, redirect_stdout
+from math import gcd
 from pathlib import Path
 
 import pytest
@@ -20,10 +22,13 @@ from dlogcrt import Factorization, cli, lift, numtheory, oracle, primitive_root,
 from dlogcrt import DlogInstance, SafePrimeParams, verify_instance
 from dlogcrt.cli import (
     GROUP_CACHE_LIMIT,
+    SAMPLE_MAX_DRAWS,
+    build_parser,
     main,
     report_document,
     sample_instance,
 )
+from dlogcrt.errors import SearchExhaustedError
 
 from conftest import CRYPTO_GROUPS
 
@@ -276,6 +281,50 @@ class TestErrors:
         assert capsys.readouterr().out == ""
 
 
+def _outcome(argv: list[str]) -> tuple:
+    """Exit code, stdout and stderr of one in-process run of main."""
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:
+            code = exc.code
+    return code, out.getvalue(), err.getvalue()
+
+
+def test_parser_is_built_once_and_reuse_changes_no_outcome(monkeypatch, tmp_path):
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counted)
+    solve = ["solve", "--p", "11", "--q", "5", "--a0", "2", "--b0", "4"]
+    counts = []
+    for _ in range(3):
+        before = len(built)
+        assert _outcome(solve)[0] == 0
+        counts.append(len(built) - before)
+    # the top-level parser and one for each of the 8 subcommands
+    assert counts == [9, 0, 0]
+
+    sequence = [
+        ["--help"],
+        ["solve", "--p", "11"],
+        ["experiment", "--count", "3", "--seed", "1", "--out", str(tmp_path / "no" / "x")],
+        solve,
+    ]
+    reused = [_outcome(argv) for argv in sequence]
+    assert len(built) == 9
+    assert [code for code, _, _ in reused] == [0, 2, 2, 0]
+    for argv, outcome in zip(sequence, reused):
+        build_parser.cache_clear()
+        assert _outcome(argv) == outcome
+    assert len(built) == 9 + 9 * len(sequence)
+
+
 def _cli_process(unbuffered: bool, *argv: str, **popen) -> subprocess.Popen:
     env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     env.pop("PYTHONUNBUFFERED", None)
@@ -513,6 +562,54 @@ class TestExperiment:
         )
         assert code == 1
         assert json.loads(out)["error"]["code"] == "search-exhausted"
+
+    @staticmethod
+    def _reference_sample(rng: random.Random, qmin: int, qmax: int) -> DlogInstance:
+        # the sampler with q drawn through _rand_below, one call per draw
+        for _ in range(SAMPLE_MAX_DRAWS):
+            q = qmin + cli._rand_below(rng, qmax - qmin + 1)
+            group = cli._group(q)
+            if group is None:
+                continue
+            params, base = group
+            n = cli._rand_below(rng, params.p - 1)
+            target = pow(base, n, params.p)
+            if gcd(target, q) != 1:
+                continue
+            return DlogInstance(params, base, target, known_index=n)
+        raise SearchExhaustedError("no instance")
+
+    @pytest.mark.parametrize(
+        "qmin, qmax, samples",
+        [(5, 499, 300), (5, 260, 300), (5, 5, 50), (3, 100000, 60), (7, 7, 1)],
+    )
+    def test_sampler_matches_rand_below_reference(self, monkeypatch, qmin, qmax, samples):
+        # same instances, same q draws (each q reaches _group once) and same
+        # rng state after every sample; (7, 7) has no usable q and must give
+        # up after exactly SAMPLE_MAX_DRAWS draws
+        group, qs = cli._group, []
+
+        def recorded(q):
+            qs.append(q)
+            return group(q)
+
+        monkeypatch.setattr(cli, "_group", recorded)
+
+        def run(sample):
+            rng, draws = random.Random(qmin * 1000 + qmax), []
+            for _ in range(samples):
+                qs.clear()
+                try:
+                    instance = sample(rng, qmin, qmax)
+                except SearchExhaustedError:
+                    instance = None
+                draws.append((instance, list(qs), rng.getstate()))
+            return draws
+
+        sampled = run(sample_instance)
+        assert sampled == run(self._reference_sample)
+        if (qmin, qmax) == (7, 7):
+            assert sampled == [(None, [7] * SAMPLE_MAX_DRAWS, random.Random(7007).getstate())]
 
     def test_group_cache_is_bounded_and_changes_no_draw(self, monkeypatch):
         # a q range far wider than the cache: it fills, stops growing, and

@@ -259,7 +259,7 @@ class TestCarryBetaPq:
         assert carry_beta_pq(golden, 2, 2, 1).beta == 0
 
     def test_rejects_wrong_target(self, golden):
-        with pytest.raises(Lemma1ViolationError):
+        with pytest.raises(Lemma1ViolationError, match=r"^a0\*\*n = 4 != b0 = 7 \(mod 11\)$"):
             carry_beta_pq(golden, 2, 7, 2)
 
     def test_rejects_non_unit(self, golden):
@@ -339,7 +339,7 @@ class TestCheckLemma2:
         assert report.corrected_ok
 
     def test_propagates_carry_errors(self, golden):
-        with pytest.raises(Lemma1ViolationError):
+        with pytest.raises(Lemma1ViolationError, match=r"^a0\*\*n = 4 != b0 = 7 \(mod 11\)$"):
             check_lemma2(golden, 2, 7, 2)
 
 

@@ -503,6 +503,54 @@ class TestDeterminism:
             "30ead5e5262ef7874953548f3a3c0e9b76ee651caaf630cc8ed82eec1bccd6ca"
         )
 
+    @pytest.mark.parametrize(
+        "argv, code, digest",
+        [
+            (
+                "explain --p 11 --q 5 --a0 2 --b0 4 --n 2", 0,
+                "06d252763687034ce8d0c632795f89d8c899604c5f5388c8114f0328a741d262",
+            ),
+            # solving for n gives the same trace as passing it
+            (
+                "explain --p 11 --q 5 --a0 2 --b0 4", 0,
+                "06d252763687034ce8d0c632795f89d8c899604c5f5388c8114f0328a741d262",
+            ),
+            (
+                "explain --p 983 --q 491 --a0 5 --b0 77", 0,
+                "51d6f6ed158579912e8a3465e3542298963c5959830291510ed4535c3254e682",
+            ),
+            # an index past p - 1: the trace shows n unreduced
+            (
+                "explain --p 983 --q 491 --a0 5 --b0 77 --n 1337", 0,
+                "d79419431a393fe631e328974672205a6925aa4155e60dad54a05572242a0ffb",
+            ),
+            (
+                "verify --p 11 --q 5 --a0 2 --b0 4 --n 2", 0,
+                "73836844bf252b8516db913eac8cd0d55f46f841722fea4d765bff0ffbe71c49",
+            ),
+            (
+                "verify --p 983 --q 491 --a0 5 --b0 77 --n 1337", 0,
+                "afc1513af34b16f4dc1c9fee6b2b68262bb8b5de196f24e3f9e31903dcb39694",
+            ),
+            (
+                "verify --p 11 --q 5 --a0 2 --b0 4 --n 3", 1,
+                "8a3c63677d026722598b03d473edda2c1dd42bd0c57cd33483aeb3aacd98e3b5",
+            ),
+            (
+                "reduce --p 11 --q 5 --a0 2 --b0 4", 0,
+                "faeaa42391b84be0cade2de64ce6792eae0391c81b6162b331df4b516c52af7a",
+            ),
+            (
+                "reduce --p 983 --q 491 --a0 5 --b0 77", 0,
+                "39c6d2902441dcdb64f01d5995580789837c9f5abd40fd1a13c8488f913acc79",
+            ),
+        ],
+    )
+    def test_document_golden_digest(self, capsys, argv, code, digest):
+        # every flag and line of the documents, pinned byte for byte
+        got, out = run_cli(capsys, *argv.split())
+        assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
 
 class TestExperiment:
     def test_records_round_trip(self, capsys, tmp_path):

@@ -149,8 +149,12 @@ class Lemma2Report:
     """Outcome of checking the composite lift identity for one instance:
     the one derivation of its lift profiles, beta, c and d.
 
-    Corrected digits (carry included) are the operative ones; the literal
-    digits (carry omitted) are evaluated side by side so the discrepancy is
+    The identity is one congruence, beta + c*n = d (mod pq), checked once
+    as corrected_ok. With A, B the (q-1)-th power residues, the lift
+    identity (A + a1*pq)**n = B + b1*pq (mod (pq)**2) is it times A, and
+    eq19, n*q(a0) = q(b0) + (beta - k_b)/B, is it times -1/B. Corrected
+    digits (carry included) are the operative ones; the literal digits
+    (carry omitted) are evaluated side by side so the discrepancy is
     visible whenever the carries do not vanish.
     """
 
@@ -159,38 +163,21 @@ class Lemma2Report:
     beta: int
     index_coeff: int  # c in beta + c*n = d (mod pq)
     constant: int  # d
-    lift_identity_ok: bool
-    linear_congruence_ok: bool
-    eq19_corrected_ok: bool
+    corrected_ok: bool
     literal_lift_identity_ok: bool
-
-    @property
-    def corrected_ok(self) -> bool:
-        # eq19 is the linear congruence divided by the unit B, so the two
-        # agree; both are kept as separate checks
-        return (
-            self.lift_identity_ok
-            and self.linear_congruence_ok
-            and self.eq19_corrected_ok
-        )
 
 
 @lru_cache(maxsize=_REPORTS)
 def check_lemma2(params: SafePrimeParams, a0: int, b0: int, n: int) -> Lemma2Report:
-    """Evaluate the composite lift identity and its linearization.
+    """Evaluate the composite lift identity with the corrected and with the
+    literal digits.
 
-    Checks, with A, B the (q-1)-th power residues, k_a the carry of A and
-    a1, b1 the corrected digits:
-
-      lift identity        (A + a1*pq)**n = B + b1*pq   (mod (pq)**2)
-      linear congruence    beta + n*c = d               (mod pq)
-      quotient relation    n*q(a0) = q(b0) + (beta - k_b)/B  (mod pq)
-
-    with c and d from _linear_coefficients. The lift identity with the
-    literal digits is recorded as the literal flag. The one power taken,
-    P = (A + k_a*pq)**n = B + beta*pq (mod (pq)**2), gives lemma 1 and beta.
-    As A**(n-1) = B/A (mod pq), (A + x*pq)**n = P + n*(x - k_a)*(B/A)*pq, so
+    The one power taken, P = (A + k_a*pq)**n = B + beta*pq (mod (pq)**2),
+    gives lemma 1 and beta; c and d come from _linear_coefficients. As
+    A**(n-1) = B/A (mod pq), (A + x*pq)**n = P + n*(x - k_a)*(B/A)*pq, so
     digits x, y lift exactly when A*(beta - y) + n*B*(x - k_a) = 0 (mod pq).
+    For the corrected digits x = k_a - A*q(a0), y = d this is A times
+    beta + c*n = d (mod pq), the one corrected flag.
 
     Reports are kept per process (see _REPORTS), keyed on the unreduced n; an
     instance that violates lemma 1 raises on every call.
@@ -208,7 +195,6 @@ def check_lemma2(params: SafePrimeParams, a0: int, b0: int, n: int) -> Lemma2Rep
         )
     beta = (full - b_res) // m1
     coeff, constant = _linear_coefficients(params, prof_a, prof_b)
-    eq19_rhs = (prof_b.quotient + (beta - prof_b.carry) * mod_inv(b_res, m1)) % m1
 
     def lifts(digit_a: int, digit_b: int) -> bool:
         return (a_res * (beta - digit_b) + n * b_res * (digit_a - k_a)) % m1 == 0
@@ -219,8 +205,6 @@ def check_lemma2(params: SafePrimeParams, a0: int, b0: int, n: int) -> Lemma2Rep
         beta=beta,
         index_coeff=coeff,
         constant=constant,
-        lift_identity_ok=lifts(prof_a.digit, prof_b.digit),
-        linear_congruence_ok=(beta + n * coeff) % m1 == constant,
-        eq19_corrected_ok=n * prof_a.quotient % m1 == eq19_rhs,
+        corrected_ok=lifts(prof_a.digit, prof_b.digit),
         literal_lift_identity_ok=lifts(prof_a.digit_literal, prof_b.digit_literal),
     )

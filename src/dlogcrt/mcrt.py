@@ -17,7 +17,7 @@ import itertools
 from dataclasses import dataclass
 from math import gcd, prod
 
-from .arith import crt_pair, egcd, mod_inv
+from .arith import crt_pair, egcd
 from .errors import InvalidSystemError, TooManySolutionsError
 
 Point = tuple[int, ...]
@@ -162,7 +162,7 @@ def solve_system(system: LinearSystem) -> SolutionSet:
         if w % g != 0:
             return SolutionSet(system, True, (0,) * r, (), ())
         step = m // g
-        y1 = 0 if step == 1 else (w // g) * mod_inv(g0 // g, step) % step
+        y1 = (w // g) * pow(g0 // g, -1, step) % step  # g0/g is a unit mod m/g
         idem = crt_pair(1, m, 0, big // m)  # 1 mod m, 0 mod the other moduli
         for i in range(r):
             origin[i] = (origin[i] + idem * u[i][0] * y1) % big

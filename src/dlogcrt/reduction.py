@@ -85,13 +85,6 @@ class CongruenceSystem(LinearSystem):
         return reduce(recombine, self.parts)
 
 
-def _master_system(params: SafePrimeParams, c: int, d: int) -> CongruenceSystem:
-    """beta + c*n = d (mod pq), as its parts mod p and mod q."""
-    return CongruenceSystem(
-        2, tuple(LinearCongruence((1, c), d, m) for m in (params.p, params.q))
-    )
-
-
 def transform(instance: DlogInstance) -> CongruenceSystem:
     """Reduce the instance to beta + c*n = d (mod pq) plus its reductions
     mod p and mod q. The carry beta of base**(n*(q-1)) above the target's
@@ -100,7 +93,10 @@ def transform(instance: DlogInstance) -> CongruenceSystem:
     params = instance.params
     prof_a = lift_profile(params, instance.base)
     prof_b = lift_profile(params, instance.target)
-    return _master_system(params, *_linear_coefficients(params, prof_a, prof_b))
+    c, d = _linear_coefficients(params, prof_a, prof_b)
+    return CongruenceSystem(
+        2, tuple(LinearCongruence((1, c), d, m) for m in (params.p, params.q))
+    )
 
 
 def subgroup_index_mod_q(instance: DlogInstance) -> int:
@@ -146,13 +142,12 @@ class VerificationReport:
     Everything is re-derivable from (p, q, base, target, known index); the
     lift profiles, beta, c, d and the lemma-2 flags are those of lemma2,
     whose literal digits sit next to the corrected ones so any discrepancy
-    is explicit in the report rather than hidden.
+    is explicit in the report rather than hidden. The parts of transform's
+    system split lemma2's one congruence over p and q and carry no flag.
     """
 
     instance: DlogInstance
-    system: CongruenceSystem
     lemma2: Lemma2Report
-    parts_ok: bool
     subgroup_index: int
     candidates: tuple[int, int]
     recovered_index: int
@@ -160,15 +155,16 @@ class VerificationReport:
 
     @property
     def all_ok(self) -> bool:
-        return self.lemma2.corrected_ok and self.parts_ok and self.recovered_ok
+        return self.lemma2.corrected_ok and self.recovered_ok
 
 
 def verify_instance(instance: DlogInstance) -> VerificationReport:
     """Run every check on an instance and collect the evidence into one
     report. An instance without a known index gets the index solve_small
     would return. Each derived value is computed once: lemma 1, the lift
-    profiles, beta, c and d come from the lemma-2 check, and the subgroup
-    log runs once for the candidates, the recovery and any missing index."""
+    profiles, beta, c, d and the corrected congruence come from the lemma-2
+    check, and the subgroup log runs once for the candidates, the recovery
+    and any missing index. No congruence system is built."""
     params = instance.params
     n_q = subgroup_index_mod_q(instance)
     candidates, recovered = _lift_candidates(instance, n_q)
@@ -176,13 +172,9 @@ def verify_instance(instance: DlogInstance) -> VerificationReport:
         instance = replace(instance, known_index=recovered)
     a0, b0, n = instance.base, instance.target, instance.known_index
 
-    lemma2 = check_lemma2(params, a0, b0, n)
-    system = _master_system(params, lemma2.index_coeff, lemma2.constant)
     return VerificationReport(
         instance=instance,
-        system=system,
-        lemma2=lemma2,
-        parts_ok=system.satisfied_by((lemma2.beta, n)),
+        lemma2=check_lemma2(params, a0, b0, n),
         subgroup_index=n_q,
         candidates=candidates,
         recovered_index=recovered,

@@ -7,6 +7,7 @@ solvers) so tests check implementations against independent routes.
 
 from __future__ import annotations
 
+import dataclasses
 import importlib
 import pkgutil
 
@@ -64,6 +65,39 @@ def teichmuller_digit(p: int, x: int) -> int:
 def fermat_quotient(p: int, x: int) -> int:
     """Classical Fermat quotient ((x**(p-1) mod p**2) - 1)/p, canonical mod p."""
     return (pow(x, p - 1, p * p) - 1) // p % p
+
+
+def corrected_forms(params: SafePrimeParams, n: int, beta: int, prof_a, prof_b) -> dict:
+    """Each written form of the corrected lemma-2 congruence, evaluated from
+    the profile values with plain ints: the lift identity by a full power mod
+    (pq)**2, the master congruence beta + c*n = d (mod pq) with c = -B*q(a0)
+    and d = k_b - B*q(b0), eq19 with pow(B, -1, pq), and the master
+    congruence mod p and mod q."""
+    p, q, m1, m2 = params.p, params.q, params.m1, params.m2
+    a_res, b_res = prof_a.power_residue, prof_b.power_residue
+    c = -b_res * prof_a.quotient
+    d = prof_b.carry - b_res * prof_b.quotient
+    eq19_rhs = prof_b.quotient + (beta - prof_b.carry) * pow(b_res, -1, m1)
+    return {
+        "lift": pow(a_res + prof_a.digit * m1, n, m2) == (b_res + prof_b.digit * m1) % m2,
+        "master": (beta + c * n - d) % m1 == 0,
+        "eq19": (n * prof_a.quotient - eq19_rhs) % m1 == 0,
+        "mod p": (beta + c * n - d) % p == 0,
+        "mod q": (beta + c * n - d) % q == 0,
+    }
+
+
+def skewed_target_digit(profile, target: int):
+    """A stand-in for lift_profile that gives target's profile with its
+    corrected digit one too high (mod pq), and every other profile as is."""
+
+    def skewed(params: SafePrimeParams, x: int):
+        prof = profile(params, x)
+        if x != target:
+            return prof
+        return dataclasses.replace(prof, digit=(prof.digit + 1) % params.m1)
+
+    return skewed
 
 
 PRIMES_1000 = sieve(1000)

@@ -23,7 +23,7 @@ from dlogcrt import (
 )
 from dlogcrt.cli import sample_instance
 
-from conftest import dlog_bruteforce, factorize, sieve, teichmuller_digit
+from conftest import corrected_forms, dlog_bruteforce, factorize, sieve, teichmuller_digit
 
 
 @contextmanager
@@ -95,10 +95,13 @@ def test_criterion_2_transform_soundness():
             assert 5 <= q <= 499
             # lemma 1, by plain powers mod pq
             assert pow(inst.base, n * (q - 1), m1) == pow(inst.target, q - 1, m1)
-            assert report.lemma2.lift_identity_ok
-            assert report.lemma2.linear_congruence_ok
-            assert report.lemma2.eq19_corrected_ok
-            assert report.parts_ok
+            # the one corrected flag, and each form of its congruence by plain ints
+            lemma2 = report.lemma2
+            assert lemma2.corrected_ok
+            forms = corrected_forms(
+                inst.params, n, lemma2.beta, lemma2.profile_a, lemma2.profile_b
+            )
+            assert all(forms.values()), (inst, forms)
         assert len(seen_q) >= 10  # the sampler actually spreads over the range
 
 

@@ -30,7 +30,7 @@ from dlogcrt.cli import (
 )
 from dlogcrt.errors import SearchExhaustedError
 
-from conftest import CRYPTO_GROUPS
+from conftest import CRYPTO_GROUPS, skewed_target_digit
 
 
 def run_cli(capsys, *argv):
@@ -92,6 +92,37 @@ class TestVerify:
         assert doc["lemma2_literal_ok"] is False
         assert doc["eq19_corrected_ok"] is True
         assert doc["recovered_n_ok"] is True
+
+    def test_off_by_one_target_digit_fails_every_corrected_flag(self, capsys, monkeypatch):
+        # one check carries the four corrected fields, all_ok and the corrected
+        # lines of explain, so b0's digit one too high fails each of them
+        skewed = skewed_target_digit(quotients.lift_profile, 4)
+        for module in (lift, reduction):
+            monkeypatch.setattr(module, "lift_profile", skewed)
+        argv = ("--p", "11", "--q", "5", "--a0", "2", "--b0", "4", "--n", "2")
+        code, out = run_cli(capsys, "verify", *argv)
+        assert code == 0
+        doc = json.loads(out)
+        assert (doc["b1"], doc["d"]) == ("29", "29")
+        corrected = ("lemma2_corrected_ok", "eq19_corrected_ok", "master_ok", "parts_ok")
+        assert [doc[flag] for flag in corrected] == [False] * 4
+        assert doc["lemma2_literal_ok"] is False and doc["recovered_n_ok"] is True
+        report = verify_instance(DlogInstance(SafePrimeParams(11, 5), 2, 4, known_index=2))
+        assert report.all_ok is False
+
+        code, out = run_cli(capsys, "explain", *argv)
+        assert code == 0
+        lines = out.splitlines()
+        for line in (
+            "  beta + 12*n = 29 (mod 55)   [FAIL: 4 + 12*2 = 28]",
+            "    beta + 1*n = 7 (mod 11)   [FAIL]",
+            "    beta + 2*n = 4 (mod 5)   [FAIL]",
+            "  lifted power identity, corrected digits (lemma 2): FAIL",
+            "  lifted power identity, carry-free digits: FAIL",
+            "  quotient relation n*q(a0) = q(b0) + (beta - k_b)/B: FAIL",
+            "  direct check picks n = 2   [ok]",
+        ):
+            assert line in lines
 
 
 class TestQuotient:

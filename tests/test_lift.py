@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from dlogcrt import lift
 from dlogcrt import (
     SafePrimeParams,
     carry_beta_pq,
@@ -29,9 +30,11 @@ from conftest import (
     CRYPTO_GROUPS,
     DIFFERENTIAL_GROUPS,
     SAFE_QS,
+    corrected_forms,
     factorize,
     fermat_quotient,
     sieve,
+    skewed_target_digit,
     teichmuller_digit,
 )
 
@@ -317,10 +320,9 @@ class TestCheckLemma1:
 class TestCheckLemma2:
     def test_golden_corrected_holds_literal_fails(self, golden):
         report = check_lemma2(golden, 2, 4, 2)
-        assert report.lift_identity_ok
-        assert report.linear_congruence_ok
-        assert report.eq19_corrected_ok
         assert report.corrected_ok
+        forms = corrected_forms(golden, 2, report.beta, report.profile_a, report.profile_b)
+        assert all(forms.values()), forms
         assert not report.literal_lift_identity_ok
         assert report.profile_b.digit == 28
         assert report.profile_b.digit_literal == 24
@@ -341,6 +343,20 @@ class TestCheckLemma2:
     def test_propagates_carry_errors(self, golden):
         with pytest.raises(Lemma1ViolationError, match=r"^a0\*\*n = 4 != b0 = 7 \(mod 11\)$"):
             check_lemma2(golden, 2, 7, 2)
+
+    def test_off_by_one_target_digit_fails_the_corrected_flag(self, golden, monkeypatch):
+        # b0's corrected digit one above its true value breaks the corrected
+        # congruence, and leaves the literal digits and their flag alone
+        true = check_lemma2(golden, 2, 4, 2)
+        check_lemma2.cache_clear()
+        monkeypatch.setattr(lift, "lift_profile", skewed_target_digit(lift_profile, 4))
+        report = check_lemma2(golden, 2, 4, 2)
+        assert report.profile_b.digit == true.profile_b.digit + 1
+        assert report.corrected_ok is False
+        # the full power confirms that the skewed digit does not lift
+        forms = corrected_forms(golden, 2, report.beta, report.profile_a, report.profile_b)
+        assert forms["lift"] is False
+        assert report.literal_lift_identity_ok == true.literal_lift_identity_ok
 
 
 class TestKeptDerivations:
@@ -434,9 +450,9 @@ def test_carry_and_lift_identities_match_the_definitions(pq):
             assert lemma1  # a report means lemma 1 holds
             pa, pb = report.profile_a, report.profile_b
             assert report.beta == beta
-            assert report.lift_identity_ok
+            assert report.corrected_ok
             for digit_a, digit_b, flag in (
-                (pa.digit, pb.digit, report.lift_identity_ok),
+                (pa.digit, pb.digit, report.corrected_ok),
                 (pa.digit_literal, pb.digit_literal, report.literal_lift_identity_ok),
             ):
                 lhs = pow(pa.power_residue + digit_a * m1, n, m2)

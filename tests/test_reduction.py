@@ -27,7 +27,7 @@ from dlogcrt import (
 )
 from dlogcrt.errors import InvalidInstanceError, InvalidSystemError
 
-from conftest import CRYPTO_GROUPS, SAFE_QS
+from conftest import CRYPTO_GROUPS, SAFE_QS, corrected_forms
 
 
 def make_instance(q: int, n: int) -> DlogInstance | None:
@@ -139,8 +139,9 @@ def test_reduction_at_cryptographic_size(pq):
         assert (m.beta_coeff, m.index_coeff, m.constant, m.modulus) == (
             1, lemma2.index_coeff, lemma2.constant, params.m1,
         )
-        assert lemma2.eq19_corrected_ok == lemma2.linear_congruence_ok
         assert lemma2.corrected_ok
+        forms = corrected_forms(params, n, lemma2.beta, lemma2.profile_a, lemma2.profile_b)
+        assert all(forms.values()), forms
         assert solve_system(system).contains((lemma2.beta, n))
 
     check()
@@ -279,8 +280,9 @@ class TestVerifyInstance:
         assert pb.digit == 28
         assert pb.digit_literal == 24
         assert report.lemma2.beta == 4
-        assert report.system.master.index_coeff == 12
-        assert report.system.master.constant == 28
+        master = transform(report.instance).master
+        assert (master.index_coeff, master.constant) == (12, 28)
+        assert (report.lemma2.index_coeff, report.lemma2.constant) == (12, 28)
         assert report.subgroup_index == 2
         assert report.candidates == (2, 7)
         assert report.recovered_index == 2

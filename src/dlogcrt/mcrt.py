@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from math import gcd, prod
 
 from .arith import crt_pair, egcd
-from .errors import InvalidSystemError, TooManySolutionsError
+from .errors import InvalidSystemError, NoSolutionError, TooManySolutionsError
 
 Point = tuple[int, ...]
 
@@ -172,3 +172,53 @@ def solve_system(system: LinearSystem) -> SolutionSet:
             generators.append(tuple(idem * u[i][j] % big for i in range(r)))
             cycles.append(m)
     return SolutionSet(system, False, tuple(origin), tuple(generators), tuple(cycles))
+
+
+class RowEchelon:
+    """Linear equations mod a prime, reduced online to echelon rows.
+
+    A row is kept under its pivot, its highest unknown, as ({j: c_j}, w): the
+    equation x_pivot + sum(c_j * x_j) = w with every j below the pivot. The
+    highest unknown is pivoted first because, in an index calculus, it is
+    the rarest prime: its row is short, and a reduction by it adds few
+    entries."""
+
+    def __init__(self, modulus: int):
+        self.modulus = modulus
+        self.rows: dict[int, tuple[dict[int, int], int]] = {}
+
+    def add(self, coeffs: dict[int, int], constant: int) -> None:
+        """Reduce sum(coeffs[j] * x_j) = constant against the rows and keep
+        what is left as a new row. An equation that reduces to 0 = w with w
+        nonzero contradicts the rows (NoSolutionError)."""
+        q = self.modulus
+        v = {j: c % q for j, c in coeffs.items() if c % q}
+        while v:
+            j = max(v)
+            row = self.rows.get(j)
+            c = v.pop(j)
+            if row is None:
+                inv = pow(c, -1, q)
+                self.rows[j] = ({i: a * inv % q for i, a in v.items()}, constant * inv % q)
+                return
+            others, w = row
+            for i, a in others.items():
+                if x := (v.get(i, 0) - c * a) % q:
+                    v[i] = x
+                else:
+                    v.pop(i, None)
+            constant -= c * w
+        if constant % q:
+            raise NoSolutionError(f"an equation reduces to 0 = {constant % q} (mod {q})")
+
+    def solve(self) -> dict[int, int]:
+        """The unknowns the rows fix, by back-substitution from the lowest
+        pivot. A row whose other unknowns are all fixed fixes its pivot; one
+        that reaches an unfixed unknown is left out, so a partial rank still
+        gives the values it pins (perhaps not all of them)."""
+        q, known = self.modulus, {}
+        for j in sorted(self.rows):
+            others, w = self.rows[j]
+            if all(i in known for i in others):
+                known[j] = (w - sum(a * known[i] for i, a in others.items())) % q
+        return known

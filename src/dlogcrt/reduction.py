@@ -1,7 +1,7 @@
 """Transform of a safe-prime discrete-log instance into one linear
 congruence in the unknowns (beta, n) mod pq, split over the coprime moduli
-p and q; plus the order-q subgroup recovery of n mod q and the desk-scale
-end-to-end solver built on it."""
+p and q; plus the order-q subgroup recovery of n mod q and the end-to-end
+solver built on it."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ from dataclasses import dataclass, replace
 from functools import reduce
 from math import gcd
 
+from . import oracle
 from .arith import _pow_fixed, crt_pair
 from .errors import InvalidInstanceError, NoSolutionError
 from .lift import Lemma2Report, _linear_coefficients, check_lemma2
@@ -103,12 +104,14 @@ def subgroup_index_mod_q(instance: DlogInstance) -> int:
     """Index n mod q, recovered inside the order-q subgroup generated by
     A = base**(q-1): the unique n_q with A**n_q = B (mod pq). The log is
     taken mod p, which gives the same n_q: A and B are 1 mod q by Fermat,
-    so A**n = B holds mod pq exactly when it holds mod p."""
+    so A**n = B holds mod pq exactly when it holds mod p. Orders from
+    oracle._IC_ORDER take index calculus, smaller ones baby-step giant-step."""
     p, q = instance.params.p, instance.params.q
     a_res = pow(instance.base, q - 1, p)
     b_res = pow(instance.target, q - 1, p)
     ctx = CyclicContext(generator=a_res, modulus=p, order=q)
-    n_q = dlog_bsgs(ctx, b_res)
+    solve = oracle._dlog_index_calculus if q >= oracle._IC_ORDER else dlog_bsgs
+    n_q = solve(ctx, b_res)
     if n_q is None:
         raise NoSolutionError(
             "target power residue is outside the subgroup; instance invariants broken"
@@ -130,8 +133,10 @@ def _lift_candidates(instance: DlogInstance, n_q: int) -> tuple[tuple[int, int],
 
 def solve_small(instance: DlogInstance) -> int:
     """The index n mod p - 1, found by subgroup recovery mod q and direct
-    verification of the two lifted candidates. Desk scale only: the
-    subgroup step costs O(sqrt(q)) group operations."""
+    verification of the two lifted candidates, for orders up to 2**48, which
+    admits every p up to 48 bits. The subgroup step is index calculus from
+    q = 2**28 (a relation phase once per group, then a descent per target)
+    and baby-step giant-step, O(sqrt(q)) group operations, below it."""
     return _lift_candidates(instance, subgroup_index_mod_q(instance))[1]
 
 

@@ -163,8 +163,9 @@ KEPT_CACHES = _kept_caches()
 @pytest.fixture(autouse=True)
 def fresh_caches():
     """Empty every per-process cache of the package before each test (every
-    lru_cache, and the kept baby-step tables with their lane constants), so
-    that no test's call counts or first query depend on the tests run before
+    lru_cache, the index-calculus factor-base logs among them, and the kept
+    baby-step tables with their lane constants), so that no test's call
+    counts, relation phases or first query depend on the tests run before
     it."""
     for cache in KEPT_CACHES.values():
         cache.cache_clear()

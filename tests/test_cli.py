@@ -305,6 +305,22 @@ class TestErrors:
         assert code == 1
         assert json.loads(out)["error"]["code"] == "order-too-large"
 
+    @pytest.mark.parametrize(
+        "bound, stage",
+        [("_IC_CANDIDATES", "relation phase"), ("_IC_DESCENT", "descent")],
+    )
+    def test_exhausted_solver_bound_is_structured_exit_1(self, capsys, monkeypatch, bound, stage):
+        # the 32-bit solve-large group, whose order takes index calculus
+        monkeypatch.setattr(oracle, bound, 0)
+        p, q, a0 = 3821532707, 1910766353, 2
+        code = main(["solve", "--p", str(p), "--q", str(q), "--a0", str(a0), "--b0", str(pow(a0, 12345, p))])
+        captured = capsys.readouterr()
+        assert code == 1
+        error = json.loads(captured.out)["error"]
+        assert error["code"] == "search-exhausted"
+        assert error["message"].startswith(f"index calculus {stage}: ")
+        assert captured.err == ""
+
     def test_negative_count_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["experiment", "--count", "-3", "--seed", "1"])

@@ -6,8 +6,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sympy import GF
+from sympy.polys.matrices import DomainMatrix
+
 from dlogcrt import LinearEquation, LinearSystem, solve_system
-from dlogcrt.errors import InvalidSystemError, TooManySolutionsError
+from dlogcrt.errors import InvalidSystemError, NoSolutionError, TooManySolutionsError
+from dlogcrt.mcrt import RowEchelon
 
 
 def scan_single(coeffs, constant, m):
@@ -166,3 +170,52 @@ class TestSolveSystem:
                 assert solutions.enumerate(big**r) == expected
             for pt in expected[:5]:
                 assert solutions.contains(pt)
+
+
+class TestRowEchelon:
+    """Online reduction mod a prime against exhaustive scans of small systems
+    and sympy's rank over GF(q) at 47 bits."""
+
+    def test_rank_and_fixed_unknowns_match_exhaustive_scan(self):
+        rng = random.Random(12)
+        for _ in range(400):
+            q, r = rng.choice([2, 3, 5, 7]), rng.randint(1, 3)
+            point = [rng.randrange(q) for _ in range(r)]  # keeps the system consistent
+            echelon, equations = RowEchelon(q), []
+            for _ in range(rng.randint(0, 4)):
+                coeffs = {j: rng.randrange(-q, 2 * q) for j in rng.sample(range(r), rng.randint(0, r))}
+                constant = sum(c * point[j] for j, c in coeffs.items()) + q * rng.randrange(-3, 3)
+                echelon.add(coeffs, constant)
+                equations.append((coeffs, constant))
+            solutions = [
+                pt
+                for pt in itertools.product(range(q), repeat=r)
+                if all((sum(c * pt[j] for j, c in co.items()) - w) % q == 0 for co, w in equations)
+            ]
+            assert len(solutions) == q ** (r - len(echelon.rows))
+            fixed = {j: point[j] for j in range(r) if len({pt[j] for pt in solutions}) == 1}
+            known = echelon.solve()
+            assert known.items() <= fixed.items()
+            if len(echelon.rows) == r:
+                assert known == fixed
+
+    def test_contradiction_raises(self):
+        echelon = RowEchelon(7)
+        echelon.add({0: 1, 1: 2}, 3)
+        echelon.add({0: 2, 1: 4}, 6)  # twice the first
+        assert len(echelon.rows) == 1
+        with pytest.raises(NoSolutionError):
+            echelon.add({0: 2, 1: 4}, 5)
+
+    def test_sparse_rows_at_47_bits_match_sympy_rank(self):
+        q = 125458321757843  # gen_safe_prime(48, seed=1).q
+        rng = random.Random(13)
+        point = [rng.randrange(q) for _ in range(30)]
+        echelon, rows = RowEchelon(q), []
+        for _ in range(45):
+            coeffs = {j: rng.randrange(-3, 4) for j in rng.sample(range(30), 5)}
+            echelon.add(coeffs, sum(c * point[j] for j, c in coeffs.items()))
+            rows.append([coeffs.get(j, 0) % q for j in range(30)])
+            rank = DomainMatrix([[GF(q)(x) for x in row] for row in rows], (len(rows), 30), GF(q)).rank()
+            assert len(echelon.rows) == rank
+        assert rank == 30 and echelon.solve() == dict(enumerate(point))

@@ -19,7 +19,7 @@ from dlogcrt import (
     primitive_root,
     solve_small,
 )
-from dlogcrt.errors import InvalidInputError, OrderTooLargeError
+from dlogcrt.errors import InvalidInputError, OrderTooLargeError, PreconditionError
 
 from conftest import SAFE_QS, dlog_bruteforce, factorize, sieve
 
@@ -200,7 +200,8 @@ LANE_GROUPS = [(45275519699, 22637759849, 2), (159621863267, 79810931633, 2)]
 
 class TestLanePath:
     @pytest.mark.parametrize("p, q, a0", LANE_GROUPS, ids=("36bit", "38bit"))
-    def test_solve_on_lane_groups(self, p, q, a0):
+    def test_solve_on_lane_groups(self, p, q, a0, monkeypatch):
+        monkeypatch.setattr(oracle, "_IC_ORDER", 2**64)  # these orders take BSGS
         params = SafePrimeParams(p, q)
         for n in (0, 1, q - 1, random.Random(p).randrange(p - 1)):
             b0 = pow(a0, n, p)  # q for n = q - 1: the target is b0 + p
@@ -361,3 +362,90 @@ class TestTableCache:
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
         assert tables.entries == held_entries(tables) <= 30
+
+
+# The solve-large benchmark's pinned groups (bench/fixtures.json), each with
+# an order above oracle._IC_ORDER: 32-, 34-, 36- and 38-bit p
+FIXTURE_GROUPS = [
+    (3821532707, 1910766353, 2),
+    (10142857247, 5071428623, 5),
+    (45275519699, 22637759849, 2),
+    (159621863267, 79810931633, 2),
+]
+
+
+def unit_target(p: int, q: int, a0: int, n: int) -> int:
+    """a0**n mod p, moved by p when it is 0 mod q, so it is a unit mod pq."""
+    b0 = pow(a0, n, p)
+    return b0 if gcd(b0, q) == 1 else b0 + p
+
+
+class TestIndexCalculus:
+    """_dlog_index_calculus against the brute-force reference, pow and sympy,
+    and subgroup_index_mod_q with every order forced onto it."""
+
+    @pytest.fixture
+    def forced(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_IC_ORDER", 0)
+
+    @pytest.mark.parametrize("q", SAFE_QS)
+    def test_every_unit_of_every_safe_group(self, q, forced, tables):
+        # every element of the order-q subgroup gets its log, and every other
+        # unit None; the contract allows SearchExhaustedError, never another
+        # number, and none of these groups exhausts a bound
+        p, a, _ = subgroup(q)
+        ctx = CyclicContext(a, p, q)
+        assert [oracle._dlog_index_calculus(ctx, h) for h in range(1, p)] == [
+            dlog_bruteforce(ctx, h) for h in range(1, p)
+        ]
+        a0 = primitive_root(p, Factorization(((2, 1), (q, 1))))
+        params = SafePrimeParams(p, q)
+        for n in range(p - 1):
+            assert solve_small(DlogInstance(params, a0, unit_target(p, q, a0, n))) == n
+        assert not tables.by_group  # no baby-step table was built
+
+    @pytest.mark.parametrize("p, q, a0", FIXTURE_GROUPS, ids=("32bit", "34bit", "36bit", "38bit"))
+    def test_seeded_targets_on_the_fixture_groups(self, p, q, a0, tables):
+        params = SafePrimeParams(p, q)
+        rng = random.Random(q)
+        for i in range(20):
+            n = rng.randrange(p - 1)
+            b0 = unit_target(p, q, a0, n)
+            found = solve_small(DlogInstance(params, a0, b0))
+            assert pow(a0, found, p) == b0 % p and found == n
+            if i == 0:
+                assert discrete_log(p, b0 % p, a0) == n
+        assert not tables.by_group  # no baby-step table was built
+
+    def test_second_target_runs_no_relation_phase(self, monkeypatch):
+        phases = []
+        echelon = oracle.RowEchelon
+        monkeypatch.setattr(oracle, "RowEchelon", lambda q: phases.append(q) or echelon(q))
+        p, q, a0 = FIXTURE_GROUPS[0]
+        a = pow(a0, q - 1, p)
+        assert oracle._dlog_index_calculus(CyclicContext(a, p, q), pow(a, 100, p)) == 100
+        assert oracle._dlog_index_calculus(CyclicContext(a, p, q), pow(a, 7, p)) == 7
+        n = q + 12345
+        assert solve_small(DlogInstance(SafePrimeParams(p, q), a0, pow(a0, n, p))) == n
+        assert phases == [q]
+
+    def test_outside_the_subgroup_is_none(self):
+        p, q, a0 = FIXTURE_GROUPS[1]
+        ctx = CyclicContext(pow(a0, q - 1, p), p, q)
+        for h in (a0, p - 1, 0, p):
+            assert oracle._dlog_index_calculus(ctx, h) is None
+
+    def test_guard_on_large_order(self):
+        with pytest.raises(OrderTooLargeError):
+            oracle._dlog_index_calculus(CyclicContext(1, 2, 2**48 + 1), 1)
+
+    @pytest.mark.parametrize(
+        "m, order",
+        [(55, 5), (7, 6), (23, 2), (23, 5), (19, 3)],
+        ids=("composite-modulus", "composite-order", "even-order", "not-a-divisor", "square-divides"),
+    )
+    def test_preconditions(self, m, order, monkeypatch):
+        # 19 - 1 = 2 * 3**2: the cofactor 6 is not prime to the order 3
+        monkeypatch.setattr(CyclicContext, "__post_init__", lambda self: None)
+        with pytest.raises(PreconditionError):
+            oracle._dlog_index_calculus(CyclicContext(1, m, order), 1)

@@ -529,6 +529,22 @@ class TestDeterminism:
             "60a366b77431d1f0cdb7407540935547912c39069893772f57b1ab86d3134a15"
         )
 
+    def test_experiment_wide_range_golden_digests(self, capsys, tmp_path):
+        # q up to 100000: multi-digit p, q, carries and quotients. q = 3 can
+        # give no record: the smallest primitive root of 7 is 3, a multiple of q
+        argv = ("experiment", "--count", "300", "--qmin", "3", "--qmax", "100000", "--seed", "2")
+        lines = "524d0cd6622858cbed4e18f4b7920fa7d70a9b66f6ffcbcddb4989a10d938f9b"
+        code, out = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == lines
+        out_path, csv_path = tmp_path / "runs.jsonl", tmp_path / "flags.csv"
+        code, out = run_cli(capsys, *argv, "--out", str(out_path), "--csv", str(csv_path))
+        assert code == 0 and out == ""
+        assert hashlib.sha256(out_path.read_bytes()).hexdigest() == lines
+        assert hashlib.sha256(csv_path.read_bytes()).hexdigest() == (
+            "09adf62ac800cc100596c68264ca47564b04b407708ab9a0da923f4f377451d9"
+        )
+
     def test_experiment_over_one_q_golden(self, capsys):
         # a q range of width 1 draws q with getrandbits(0), which consumes
         # no state, so each n is the next 4-bit draw below p - 1 = 10

@@ -41,15 +41,6 @@ from .reduction import (
     verify_instance,
 )
 
-_FLAG_COLUMNS = (
-    "lemma1_ok",
-    "lemma2_corrected_ok",
-    "lemma2_literal_ok",
-    "eq19_corrected_ok",
-    "recovered_n_ok",
-)
-
-
 def params_document(params: SafePrimeParams) -> dict:
     return {
         "p": str(params.p),
@@ -79,7 +70,9 @@ def system_document(system: CongruenceSystem) -> dict:
 
 def report_document(report: VerificationReport) -> dict:
     """Flat record of a verification run: inputs, every intermediate value,
-    and the pass/fail flags (the four corrected ones are one check)."""
+    and the pass/fail flags (the four corrected ones are one check). An
+    experiment record is this document plus its "id", written by
+    _record_line."""
     inst, lemma2 = report.instance, report.lemma2
     prof_a, prof_b = lemma2.profile_a, lemma2.profile_b
     corrected = lemma2.corrected_ok
@@ -183,21 +176,75 @@ def sample_instance(rng: random.Random, qmin: int, qmax: int) -> DlogInstance:
     )
 
 
-def run_experiment(count: int, qmin: int, qmax: int, seed: int) -> Iterator[dict]:
-    """Yield the records, deterministically in (count, range, seed)."""
+def run_experiment(
+    count: int, qmin: int, qmax: int, seed: int
+) -> Iterator[VerificationReport]:
+    """Yield the reports the records are written from, deterministically in
+    (count, range, seed)."""
     rng = random.Random(seed)
-    for i in range(count):
-        instance = sample_instance(rng, qmin, qmax)
-        record = report_document(verify_instance(instance))
-        record["id"] = str(i)
-        yield record
+    for _ in range(count):
+        yield verify_instance(sample_instance(rng, qmin, qmax))
+
+
+# JSON and CSV text of a flag, indexed by the bool
+_FLAG_TEXT = ("false", "true")
+
+# An experiment record is report_document(report) plus its "id", written as
+# the compact JSON of its sorted keys (the bytes of json.dumps(record,
+# sort_keys=True, separators=(",", ":"))) by one format, with no dict or
+# encoder per record. tests/test_cli.py pins the two key for key.
+_RECORD_LINE = (
+    '{"A":"%d","B":"%d","a0":"%d","a1":"%d","a1_literal":"%d","b0":"%d",'
+    '"b1":"%d","b1_literal":"%d","beta":"%d","c":"%d","candidates":["%d","%d"],'
+    '"d":"%d","eq19_corrected_ok":%s,"id":"%d","k_a":"%d","k_b":"%d",'
+    '"lemma1_ok":true,"lemma2_corrected_ok":%s,"lemma2_literal_ok":%s,'
+    '"master_ok":%s,"n":"%d","n_mod_q":"%d","p":"%d","parts_ok":%s,"q":"%d",'
+    '"q_a0":"%d","q_b0":"%d","recovered_n":"%d","recovered_n_ok":%s}\n'
+)
+
+
+def _record_line(report: VerificationReport, record_id: int) -> str:
+    inst, lemma2 = report.instance, report.lemma2
+    prof_a, prof_b = lemma2.profile_a, lemma2.profile_b
+    corrected = _FLAG_TEXT[lemma2.corrected_ok]
+    return _RECORD_LINE % (
+        prof_a.power_residue, prof_b.power_residue,  # A, B
+        inst.base, prof_a.digit, prof_a.digit_literal,  # a0, a1, a1_literal
+        inst.target, prof_b.digit, prof_b.digit_literal,  # b0, b1, b1_literal
+        lemma2.beta, lemma2.index_coeff,  # beta, c
+        *report.candidates, lemma2.constant,  # candidates, d
+        corrected, record_id, prof_a.carry, prof_b.carry,  # eq19_corrected_ok, id, k_a, k_b
+        corrected, _FLAG_TEXT[lemma2.literal_lift_identity_ok],  # lemma2_*_ok
+        corrected, inst.known_index, report.subgroup_index,  # master_ok, n, n_mod_q
+        inst.params.p, corrected, inst.params.q,  # p, parts_ok, q
+        prof_a.quotient, prof_b.quotient,  # q_a0, q_b0
+        report.recovered_index, _FLAG_TEXT[report.recovered_ok],  # recovered_n, recovered_n_ok
+    )
+
+
+_CSV_HEADER = (
+    "id", "p", "q", "a0", "b0", "n",
+    "lemma1_ok", "lemma2_corrected_ok", "lemma2_literal_ok", "eq19_corrected_ok",
+    "recovered_n_ok",
+)
+
+
+def _csv_row(report: VerificationReport, record_id: int) -> tuple:
+    inst, lemma2 = report.instance, report.lemma2
+    corrected = _FLAG_TEXT[lemma2.corrected_ok]
+    return (
+        record_id, inst.params.p, inst.params.q, inst.base, inst.target, inst.known_index,
+        "true", corrected, _FLAG_TEXT[lemma2.literal_lift_identity_ok], corrected,
+        _FLAG_TEXT[report.recovered_ok],
+    )
 
 
 def _print_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
-# one encoder per process; json.dumps with options builds one per call
+# experiment's error document; one encoder per process, as json.dumps with
+# options builds one per call
 _json_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
 
 
@@ -421,15 +468,14 @@ def _run(args: argparse.Namespace) -> int:
                     table = csv.writer(files.enter_context(open(args.csv, "w", newline="")))
             except OSError as exc:
                 build_parser().error(f"cannot open {exc.filename}: {exc.strerror}")
-            if args.csv:
-                table.writerow(("id", "p", "q", "a0", "b0", "n") + _FLAG_COLUMNS)
-            for record in run_experiment(args.count, args.qmin, args.qmax, args.seed):
-                print(_json_line(record), file=out)
-                if args.csv:
-                    table.writerow(
-                        [record[k] for k in ("id", "p", "q", "a0", "b0", "n")]
-                        + [str(record[k]).lower() for k in _FLAG_COLUMNS]
-                    )
+            if table:
+                table.writerow(_CSV_HEADER)
+            write = out.write
+            reports = run_experiment(args.count, args.qmin, args.qmax, args.seed)
+            for i, report in enumerate(reports):
+                write(_record_line(report, i))
+                if table:
+                    table.writerow(_csv_row(report, i))
 
     elif args.command == "explain":
         print("\n".join(_explain_lines(verify_instance(_instance(args, args.n)))))

@@ -193,10 +193,12 @@ class SafePrimeParams:
 
     p: int
     q: int
-    m1: int = field(init=False)
-    m2: int = field(init=False)
-    m3: int = field(init=False)
-    exponent: int = field(init=False)
+    # functions of (p, q), so equality and the hash (every lru_cache key that
+    # holds params) read (p, q) alone
+    m1: int = field(init=False, compare=False)
+    m2: int = field(init=False, compare=False)
+    m3: int = field(init=False, compare=False)
+    exponent: int = field(init=False, compare=False)
 
     def __post_init__(self):
         _validate_group(self.p, self.q)

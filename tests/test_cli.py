@@ -1,6 +1,7 @@
 import argparse
 import ast
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -613,6 +614,56 @@ class TestDeterminism:
         # every flag and line of the documents, pinned byte for byte
         got, out = run_cli(capsys, *argv.split())
         assert (got, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+def reference_line(report, record_id: int) -> str:
+    # the record as a dict, through the stdlib encoder with sorted keys
+    record = {**report_document(report), "id": str(record_id)}
+    return json.dumps(record, sort_keys=True, separators=(",", ":")) + "\n"
+
+
+def reference_row(report, record_id: int) -> list[str]:
+    # the CSV projection of that dict, flags lowercased
+    record = {**report_document(report), "id": str(record_id)}
+    columns = ["id", "p", "q", "a0", "b0", "n"]
+    flags = ["lemma1_ok", "lemma2_corrected_ok", "lemma2_literal_ok", "eq19_corrected_ok",
+             "recovered_n_ok"]
+    return [record[k] for k in columns] + [str(record[k]).lower() for k in flags]
+
+
+class TestRecordLine:
+    """The experiment record line and CSV row, written from the report by one
+    format, against the report_document dict through the stdlib encoder."""
+
+    @staticmethod
+    def check(report, record_id: int) -> None:
+        assert cli._record_line(report, record_id) == reference_line(report, record_id)
+        row = [str(value) for value in cli._csv_row(report, record_id)]
+        assert row == reference_row(report, record_id)
+
+    def test_sampled_lines_match_the_reference_encoder(self):
+        rng, literal = random.Random(5), set()
+        for i in range(300):
+            report = verify_instance(sample_instance(rng, 3, 100000 if i % 2 else 499))
+            self.check(report, i)
+            literal.add(report.lemma2.literal_lift_identity_ok)
+        # both branches of the literal flag are written
+        assert literal == {False, True}
+
+    def test_every_false_flag_matches_the_reference_encoder(self, monkeypatch):
+        # b0's digit one too high fails the four corrected fields; a report
+        # whose recovery failed has recovered_n_ok false
+        skewed = skewed_target_digit(quotients.lift_profile, 4)
+        for module in (lift, reduction):
+            monkeypatch.setattr(module, "lift_profile", skewed)
+        report = verify_instance(DlogInstance(SafePrimeParams(11, 5), 2, 4, known_index=2))
+        unrecovered = dataclasses.replace(report, recovered_ok=False)
+        corrected = ("lemma2_corrected_ok", "eq19_corrected_ok", "master_ok", "parts_ok")
+        for r, record_id, recovered in ((report, 0, True), (unrecovered, 12345, False)):
+            self.check(r, record_id)
+            doc = json.loads(cli._record_line(r, record_id))
+            assert [doc[flag] for flag in corrected] == [False] * 4
+            assert (doc["lemma2_literal_ok"], doc["recovered_n_ok"]) == (False, recovered)
 
 
 class TestExperiment:

@@ -12,12 +12,14 @@ from dlogcrt import (
     primitive_root,
 )
 from dlogcrt.errors import DegenerateModulusError, InvalidInputError
+from dlogcrt.lift import check_lemma2
 from dlogcrt.numtheory import (
     _MR_DETERMINISTIC_BOUND,
     _mr_composite_witness,
     _strong_lucas_prp,
     is_prime_2q_plus_1,
 )
+from dlogcrt.quotients import lift_profile
 from sympy import isprime, nextprime
 from sympy.ntheory.primetest import is_strong_lucas_prp
 
@@ -150,6 +152,18 @@ class TestSafePrimeParams:
         assert (golden.m1, golden.m2, golden.m3) == (55, 3025, 166375)
         assert golden.exponent == 220
         assert golden.group_order == 10
+
+    def test_equal_and_hashed_on_p_and_q_alone(self):
+        # m1, m2, m3 and exponent are functions of (p, q): params built apart
+        # are one cache key, and the hash reads (p, q) only
+        first, second = SafePrimeParams(983, 491), SafePrimeParams(983, 491)
+        assert first == second and hash(first) == hash(second) == hash((983, 491))
+        assert first != SafePrimeParams(11, 5)
+        for params in (first, second):
+            lift_profile(params, 5)
+            check_lemma2(params, 5, 77, 1337)
+        assert (lift_profile.cache_info().hits, lift_profile.cache_info().misses) == (2, 2)
+        assert (check_lemma2.cache_info().hits, check_lemma2.cache_info().misses) == (1, 1)
 
     def test_rejects_non_safe_pair(self):
         with pytest.raises(InvalidInputError):

@@ -6,29 +6,11 @@ above 64 bits is raised from its kept table of g**(16**i) mod m, at most
 bits(m)/4 rows, one table per (g mod m, m) and _POWER_TABLES = 8 in all
 (1.26 MB at most at 1024 bits). At 64 bits or less the builtin stays: it
 was 2-4x faster below 16 bits, and the tables win only from 32-48 bits.
-
-_lane_powers takes a batch of geometric steps y * g**i mod m (i < L, m below
-2**64) in eleven big-int operations and one conversion to bytes, from the
-constants _lane_table packs once per (g, m, L). Lane i of a packed int is its
-bits [w*i, w*(i+1)); the lane width w is a multiple of 64 and at least
-3b + 1 bits, b = bits(m). It is exact, since no lane overflows and no step
-borrows, so no carry or borrow crosses a lane:
-- x = y * sum(g**i << w*i) holds y * g**i < m**2 <= 2**(2b) in lane i;
-- Barrett's estimate floor(x_i * mu / 2**(2b)), mu = 2**(2b) // m, is
-  floor(x_i / m) or one less. x_i * mu < 2**(3b+1) fits a lane, and the
-  estimate, below m, is cut from the shifted product by a b-bit mask, clear
-  of the next lane's low 2b bits. So x_i minus it times m lies in [0, 2m);
-- adding 2**b - m sets bit b of a lane exactly when its value is m or more,
-  and subtracting that bit times m leaves the canonical residue.
-The low 64-bit word of each lane of the little-endian bytes is read out. The
-constants are 4 packed ints of L lanes of w bits each (64 kB for L = 1024
-and a 32- to 42-bit m) and 3 small ints.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import accumulate, repeat
 from math import gcd
 
 from .errors import InvalidInputError, InvalidModuliError, NotInvertibleError
@@ -105,30 +87,3 @@ def _pow_fixed(g: int, e: int, m: int) -> int:
         acc = acc * run % m
     return acc
 
-
-def _lane_table(g: int, m: int, lanes: int) -> tuple[int, ...]:
-    """The constants of _lane_powers for the steps g mod m, 2 <= m < 2**64, in
-    batches of `lanes`: the packed powers g**i mod m (i < lanes), the packed
-    masks 2**b - 1, 2**b - m and 1 (b = bits(m)), mu = 4**b // m, m and lanes."""
-    b = m.bit_length()
-    size = (3 * b + 64) // 64 * 8  # bytes a lane: w >= 3b + 1 bits
-
-    def spread(v: int) -> int:
-        return int.from_bytes(v.to_bytes(size, "little") * lanes, "little")
-
-    powers = accumulate(repeat(g % m, lanes - 1), lambda x, y: x * y % m, initial=1)
-    packed = int.from_bytes(b"".join(x.to_bytes(size, "little") for x in powers), "little")
-    return packed, spread((1 << b) - 1), spread((1 << b) - m), spread(1), (1 << 2 * b) // m, m, lanes
-
-
-def _lane_powers(y: int, table: tuple[int, ...]) -> memoryview:
-    """[y * g**i mod m for i < lanes] for 0 <= y < m, canonical, from g's
-    _lane_table: one packed Barrett reduction and one packed conditional
-    subtraction (see the module docstring)."""
-    powers, low, offset, ones, mu, m, lanes = table
-    b = m.bit_length()
-    words = (3 * b + 64) // 64
-    x = y * powers
-    x -= (x * mu >> 2 * b & low) * m
-    x -= ((x + offset) >> b & ones) * m
-    return memoryview(x.to_bytes(8 * words * lanes, "little")).cast("Q")[::words]

@@ -170,7 +170,25 @@ class Lemma2Report:
 @lru_cache(maxsize=_REPORTS)
 def check_lemma2(params: SafePrimeParams, a0: int, b0: int, n: int) -> Lemma2Report:
     """Evaluate the composite lift identity with the corrected and with the
-    literal digits.
+    literal digits (see _lemma2). The lift profiles of a0 and b0 are taken
+    first, then the premise a0**n = b0 (mod p) of lemma 1 is checked.
+
+    Reports are kept per process (see _REPORTS), keyed on the unreduced n; an
+    instance that violates lemma 1 raises on every call.
+    """
+    p = params.p
+    prof_a = lift_profile(params, a0)
+    prof_b = lift_profile(params, b0)
+    if (a_n := _pow_fixed(a0, n, p)) != b0 % p:
+        raise Lemma1ViolationError(f"a0**n = {a_n} != b0 = {b0 % p} (mod {p})")
+    return _lemma2(params, prof_a, prof_b, n)
+
+
+def _lemma2(
+    params: SafePrimeParams, prof_a: LiftProfile, prof_b: LiftProfile, n: int
+) -> Lemma2Report:
+    """The lemma-2 report of a0**n = b0 (mod p), a premise the caller has
+    checked, from the lift profiles of a0 and b0.
 
     The one power taken, P = (A + k_a*pq)**n = B + beta*pq (mod (pq)**2),
     gives lemma 1 and beta; c and d come from _linear_coefficients. As
@@ -178,16 +196,9 @@ def check_lemma2(params: SafePrimeParams, a0: int, b0: int, n: int) -> Lemma2Rep
     digits x, y lift exactly when A*(beta - y) + n*B*(x - k_a) = 0 (mod pq).
     For the corrected digits x = k_a - A*q(a0), y = d this is A times
     beta + c*n = d (mod pq), the one corrected flag.
-
-    Reports are kept per process (see _REPORTS), keyed on the unreduced n; an
-    instance that violates lemma 1 raises on every call.
     """
-    p, m1 = params.p, params.m1
-    prof_a = lift_profile(params, a0)
-    prof_b = lift_profile(params, b0)
+    m1 = params.m1
     a_res, b_res, k_a = prof_a.power_residue, prof_b.power_residue, prof_a.carry
-    if (a_n := _pow_fixed(a0, n, p)) != b0 % p:
-        raise Lemma1ViolationError(f"a0**n = {a_n} != b0 = {b0 % p} (mod {p})")
     full = _pow_m2(params, a_res + k_a * m1, n)
     if full % m1 != b_res:
         raise Lemma1ViolationError(

@@ -194,11 +194,12 @@ class SafePrimeParams:
     p: int
     q: int
     # functions of (p, q), so equality and the hash (every lru_cache key that
-    # holds params) read (p, q) alone
+    # holds params) read (p, q) alone; the hash is taken once, at construction
     m1: int = field(init=False, compare=False)
     m2: int = field(init=False, compare=False)
     m3: int = field(init=False, compare=False)
     exponent: int = field(init=False, compare=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         _validate_group(self.p, self.q)
@@ -207,6 +208,10 @@ class SafePrimeParams:
         object.__setattr__(self, "m2", m1 * m1)
         object.__setattr__(self, "m3", m1 * m1 * m1)
         object.__setattr__(self, "exponent", m1 * (self.q - 1))
+        object.__setattr__(self, "_hash", hash((self.p, self.q)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @property
     def group_order(self) -> int:

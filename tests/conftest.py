@@ -164,9 +164,8 @@ KEPT_CACHES = _kept_caches()
 def fresh_caches():
     """Empty every per-process cache of the package before each test (every
     lru_cache, the index-calculus factor-base logs among them, and the kept
-    baby-step tables with their lane constants), so that no test's call
-    counts, relation phases or first query depend on the tests run before
-    it."""
+    baby-step tables), so that no test's call counts, relation phases or
+    first query depend on the tests run before it."""
     for cache in KEPT_CACHES.values():
         cache.cache_clear()
     oracle._tables = oracle._Tables()

@@ -1,5 +1,4 @@
 import math
-import random
 import sys
 import threading
 
@@ -8,7 +7,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from dlogcrt import crt_pair, egcd, mod_inv
-from dlogcrt.arith import _lane_powers, _lane_table, _pow_fixed, _powers
+from dlogcrt.arith import _pow_fixed, _powers
 from dlogcrt.errors import InvalidInputError, InvalidModuliError, NotInvertibleError
 
 from conftest import CRYPTO_GROUPS
@@ -171,28 +170,3 @@ class TestPowFixed:
             sys.setswitchinterval(interval)
         assert wrong == []
 
-
-# Every modulus bit length the lane kernel takes, 2 to 64: 2**b - 1, the
-# power of two 2**(b-1) (the largest mu for its length), 2**(b-1) + 1 and a
-# random b-bit modulus; and the composite 55
-LANE_MODULI = sorted(
-    {55}
-    | {
-        m
-        for b in range(2, 65)
-        for m in (2**b - 1, 2 ** (b - 1), 2 ** (b - 1) + 1, random.Random(b).randrange(2 ** (b - 1), 2**b))
-    }
-)
-
-
-@pytest.mark.parametrize("lanes", [1, 2, 1023, 1024])
-def test_lane_powers_match_builtin_pow(lanes):
-    """_lane_powers against y * pow(g, i, m) % m in every lane, for y in
-    0, 1, m - 1 and a random residue, and g random or m - 1."""
-    rng = random.Random(lanes)
-    for m in LANE_MODULI:
-        for g in (rng.randrange(m), m - 1):
-            table = _lane_table(g, m, lanes)
-            powers = [pow(g, i, m) for i in range(lanes)]
-            for y in (0, 1, m - 1, rng.randrange(m)):
-                assert list(_lane_powers(y, table)) == [y * x % m for x in powers], (m, g, y)

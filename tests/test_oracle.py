@@ -50,7 +50,7 @@ class YieldingDict(OrderedDict):
 
 
 def held_entries(tables) -> int:
-    return sum(len(powers) for _, _, powers, _, _ in tables.by_group.values())
+    return sum(len(baby) for _, baby, _ in tables.by_group.values())
 
 
 class TestCyclicContext:
@@ -174,47 +174,9 @@ class TestBsgsDifferential:
             for h in range(1, p):
                 assert dlog_bsgs(ctx, h) == discrete_log(p, h, g) == dlog_bruteforce(ctx, h)
 
-
-class TestBsgsDifferentialLanes(TestBsgsDifferential):
-    """The differential tests above with every group on the lane path, in
-    batches of 1 and of 7 lanes: one batch longer than the giant phase of
-    order 5 and 11, and many batches a query, the last one cut short, above."""
-
-    @pytest.fixture(autouse=True, params=[1, 7])
-    def lanes(self, request, monkeypatch):
-        batches = []
-        lane_powers = oracle._lane_powers
-        monkeypatch.setattr(oracle, "_LANE_STEPS", 0)
-        monkeypatch.setattr(oracle, "_LANES", request.param)
-        monkeypatch.setattr(
-            oracle, "_lane_powers", lambda *args: batches.append(1) or lane_powers(*args)
-        )
-        yield
-        assert batches  # the lane path ran
-
-
-# Safe-prime groups above the lane threshold: the 36- and 38-bit groups of
-# gen_safe_prime(bits, seed=1), with the smallest primitive root
-LANE_GROUPS = [(45275519699, 22637759849, 2), (159621863267, 79810931633, 2)]
-
-
-class TestLanePath:
-    @pytest.mark.parametrize("p, q, a0", LANE_GROUPS, ids=("36bit", "38bit"))
-    def test_solve_on_lane_groups(self, p, q, a0, monkeypatch):
-        monkeypatch.setattr(oracle, "_IC_ORDER", 2**64)  # these orders take BSGS
-        params = SafePrimeParams(p, q)
-        for n in (0, 1, q - 1, random.Random(p).randrange(p - 1)):
-            b0 = pow(a0, n, p)  # q for n = q - 1: the target is b0 + p
-            target = b0 if gcd(b0, q) == 1 else b0 + p
-            found = solve_small(DlogInstance(params, a0, target))
-            assert pow(a0, found, p) == b0 and found == n, n
-        [(*_, lanes)] = oracle._tables.by_group.values()
-        assert lanes is not None
-
-    def test_moduli_from_2_to_the_64_take_the_plain_loop(self, tables, monkeypatch):
+    def test_moduli_above_2_to_the_64(self, tables):
         # a prime m > 2**64 with m - 1 divisible by 1019, and a generator of
         # the order-1019 subgroup, asked with a claimed order multiple too
-        monkeypatch.setattr(oracle, "_LANE_STEPS", 0)
         m = next(m for m in range(2**64 + 1, 2**65) if m % 2038 == 1 and is_prime(m))
         g = pow(3, (m - 1) // 1019, m)
         for order in (1019, 3 * 1019):
@@ -223,39 +185,13 @@ class TestLanePath:
                 h = pow(g, n, m)
                 assert dlog_bsgs(ctx, h) == n == dlog_bruteforce(ctx, h)
             assert dlog_bsgs(ctx, 2) is None is dlog_bruteforce(ctx, 2)
-        assert [table[-1] for table in tables.by_group.values()] == [None, None]
 
 
-class TestSetProbe:
-    """The frozenset probe and the list index at their edges: the first lane
-    of a batch with two hits, the smallest j among repeated baby values, and
-    the bound n < order on the last giant step."""
+class TestTableProbe:
+    """The dict probe at its edges: the smallest j among repeated baby
+    values, and the bound n < order on the last giant step."""
 
-    @pytest.fixture(params=[None, 7], ids=["plain", "lanes7"])
-    def lanes(self, request, monkeypatch):
-        if request.param:
-            monkeypatch.setattr(oracle, "_LANE_STEPS", 0)
-            monkeypatch.setattr(oracle, "_LANES", request.param)
-        return request.param
-
-    def test_batch_with_two_hits_returns_its_first_lane(self, tables, monkeypatch):
-        # at order q**2 the step s is below q, so lane i of the first batch
-        # holds a**(n - i*s) and hits when (n - i*s) mod q < s
-        monkeypatch.setattr(oracle, "_LANE_STEPS", 0)
-        monkeypatch.setattr(oracle, "_LANES", 7)
-        doubles = 0
-        for q in (23, 83, 131):
-            p, a, _ = subgroup(q)
-            ctx = CyclicContext(a, p, q * q)
-            for n in range(q):
-                h = pow(a, n, p)
-                assert dlog_bsgs(ctx, h) == n == dlog_bruteforce(ctx, h), (q, n)
-                step = tables.by_group[(a, p, q * q)][0]
-                hits = [i for i in range(7) if (n - i * step) % q < step]
-                doubles += len(hits) > 1 and hits[0] > 0
-        assert doubles > 0
-
-    def test_repeated_baby_values_give_the_smallest_j(self, lanes, tables):
+    def test_repeated_baby_values_give_the_smallest_j(self, tables):
         # at order 8*q**2 the step exceeds q, so a**j = a**(j + q) for j < step - q
         for q in (5, 23, 83):
             p, a, _ = subgroup(q)
@@ -263,10 +199,11 @@ class TestSetProbe:
             for n in range(q):
                 h = pow(a, n, p)
                 assert dlog_bsgs(ctx, h) == n == dlog_bruteforce(ctx, h), (q, n)
-            _, baby, powers, _, _ = tables.by_group[(a, p, 8 * q * q)]
-            assert len(powers) > q == len(baby)
+            step, baby, _ = tables.by_group[(a, p, 8 * q * q)]
+            assert step > q == len(baby)
+            assert sorted(baby.values()) == list(range(q))
 
-    def test_hit_past_the_order_on_the_last_step_is_rejected(self, lanes, tables, monkeypatch):
+    def test_hit_past_the_order_on_the_last_step_is_rejected(self, tables, monkeypatch):
         # a valid order is a multiple of the generator's, and a last-step hit
         # past it was then found at step 0; order 9 below a's order 23, past
         # the check, gives step 2 and 5 giant steps, and a**9 hits the last

@@ -63,9 +63,12 @@ class TestLerchQuotient:
                 lift_profile(golden, x)
 
     def test_defining_congruence(self):
+        # 25 bases in each of the first five desk groups, and 3 each at 256
+        # and 512 bits, whose six powers mod (pq)**3 take about 0.2 s
         rng = random.Random(14)
-        for params in PARAM_SETS:
-            for x in _random_units(params, rng, 25):
+        crypto = [SafePrimeParams(*pq) for pq in CRYPTO_GROUPS[:2]]
+        for params in PARAM_SETS + crypto:
+            for x in _random_units(params, rng, 3 if params in crypto else 25):
                 qx = _quotient(params, x)
                 assert (
                     pow(x, params.exponent, params.m3)

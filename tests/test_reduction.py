@@ -1,6 +1,8 @@
 import random
+import re
 from functools import cache
 from math import gcd
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -10,6 +12,7 @@ import dlogcrt
 from dlogcrt import arith, cli, lift, numtheory, oracle, quotients, reduction
 from dlogcrt import (
     CongruenceSystem,
+    CyclicContext,
     DlogInstance,
     Factorization,
     LinearCongruence,
@@ -27,7 +30,7 @@ from dlogcrt import (
 )
 from dlogcrt.errors import InvalidInstanceError, InvalidSystemError
 
-from conftest import CRYPTO_GROUPS, SAFE_QS, corrected_forms
+from conftest import CRYPTO_GROUPS, KEPT_CACHES, SAFE_QS, corrected_forms, dlog_bruteforce
 
 
 def make_instance(q: int, n: int) -> DlogInstance | None:
@@ -332,6 +335,64 @@ class TestVerifyInstance:
             "check_lemma1": 0,
             "carry_beta_pq": 0,
         }
+
+
+class TestOneDerivation:
+    """verify_instance reads the subgroup residues from the lift profiles,
+    calls the lemma-2 body directly and keeps its subgroup per group; each
+    result is checked against a route that shares none of that."""
+
+    @pytest.mark.parametrize("q", [q for q in SAFE_QS if q < 100])
+    def test_every_index_against_independent_routes(self, q):
+        params = SafePrimeParams(2 * q + 1, q)
+        p = params.p
+        a0 = primitive_root(p, Factorization(((2, 1), (q, 1))))
+        subgroup = CyclicContext(pow(a0, q - 1, p), p, q)
+        for n in range(p - 1):
+            b0 = pow(a0, n, p)
+            target = b0 if gcd(b0, q) == 1 else b0 + p
+            report = verify_instance(DlogInstance(params, a0, target, known_index=n))
+            assert report.subgroup_index == n % q
+            assert report.subgroup_index == dlog_bruteforce(subgroup, pow(target, q - 1, p))
+            assert report.lemma2 == check_lemma2(params, a0, target, n)
+            assert report.recovered_ok and report.all_ok
+            assert verify_instance(DlogInstance(params, a0, target)) == report
+
+    def test_kept_subgroups_stop_at_their_bound(self):
+        # every primitive root of three groups as the base, more subgroups
+        # than the cache holds, each verified twice: the kept contexts are
+        # the fresh ones
+        keys = []
+        for q in (83, 89, 113):
+            params = SafePrimeParams(2 * q + 1, q)
+            p = params.p
+            for a0 in range(2, p):
+                if pow(a0, 2, p) == 1 or pow(a0, q, p) == 1 or gcd(a0, q) != 1:
+                    continue
+                for _ in range(2):
+                    report = verify_instance(DlogInstance(params, a0, a0, known_index=1))
+                    assert report.all_ok and report.recovered_index == 1
+                keys.append((pow(a0, q - 1, p), p, q))
+        info = reduction._subgroup.cache_info()
+        assert len(set(keys)) > info.maxsize == numtheory._GROUPS
+        assert info.hits > 0 and info.misses > info.maxsize
+        assert info.currsize == info.maxsize
+        for key in keys:
+            assert reduction._subgroup(*key) == CyclicContext(*key)
+
+
+def test_every_kept_cache_is_bounded():
+    """Every lru_cache in src/ is one of conftest.KEPT_CACHES, which
+    fresh_caches clears between tests, and each has a finite bound."""
+    src = Path(reduction.__file__).parent
+    decorated = sum(
+        len(re.findall(r"^@(?:functools\.)?(?:lru_cache|cache)\b", path.read_text(), re.M))
+        for path in src.glob("*.py")
+    )
+    assert decorated == len(KEPT_CACHES)
+    assert "dlogcrt.reduction._subgroup" in KEPT_CACHES
+    for name, cache in KEPT_CACHES.items():
+        assert cache.cache_info().maxsize is not None, name
 
 
 class TestSplitRecombine:

@@ -187,6 +187,34 @@ class TestBsgsDifferential:
             assert dlog_bsgs(ctx, 2) is None is dlog_bruteforce(ctx, 2)
 
 
+class TestBsgsDifferentialStepScales(TestBsgsDifferential):
+    """The differential tests above with the baby steps a table holds per
+    sqrt(order) cut to 1/8 and raised to 8: many giant steps a query, the
+    last one cut short, and a table that holds the whole group of every
+    order up to 64, so that a query hits on its first giant step."""
+
+    @pytest.fixture(autouse=True, params=[(1, 8), (8, 1)], ids=["short", "long"])
+    def scale(self, request, monkeypatch):
+        shapes = []
+        baby_steps = oracle._baby_steps
+
+        def scaled(g, m, order):
+            table = baby_steps(g, m, order)
+            shapes.append((order, table[0], (order - 1) // table[0] + 1))
+            return table
+
+        monkeypatch.setattr(oracle, "_STEP_SCALE", request.param)
+        monkeypatch.setattr(oracle, "_baby_steps", scaled)
+        yield
+        assert shapes  # the scaled tables were built
+        num, den = request.param
+        for order, step, giants in shapes:
+            if num < den:
+                assert giants > step, (order, step)
+            else:
+                assert giants < step and (order > 64 or step >= order), (order, step)
+
+
 class TestTableProbe:
     """The dict probe at its edges: the smallest j among repeated baby
     values, and the bound n < order on the last giant step."""

@@ -24,7 +24,7 @@ from .numtheory import (
     is_prime,
     primitive_root,
 )
-from .oracle import CyclicContext, dlog_bsgs
+from .oracle import CyclicContext, dlog
 from .quotients import LiftProfile, lift_profile
 from .reduction import (
     CongruenceSystem,
@@ -57,7 +57,7 @@ __all__ = [
     "check_lemma1",
     "check_lemma2",
     "crt_pair",
-    "dlog_bsgs",
+    "dlog",
     "egcd",
     "gen_safe_prime",
     "is_prime",

@@ -1,20 +1,18 @@
 """Discrete logs in a cyclic subgroup, the end-to-end solver's subgroup step,
-by two engines: baby-step giant-step (dlog_bsgs) for any cyclic subgroup,
-and index calculus (_dlog_index_calculus) for a subgroup of odd prime order
-in the units mod a prime. reduction.subgroup_index_mod_q takes index
-calculus from order _IC_ORDER up and baby-step giant-step below it.
+by one entry, dlog, and two engines: index calculus (_dlog_index_calculus)
+from order _IC_ORDER up, for a subgroup of odd prime order in the units mod
+a prime, and baby-step giant-step (dlog_bsgs) below it, for any cyclic
+subgroup.
 
 A group's baby steps are g**j for j below step = ceil(_STEP_SCALE *
 sqrt(order)), held as one {g**j: j} dict that keeps the smallest j of a
 value. On the subgroups of gen_safe_prime(bits, seed=1) an entry took
-76-114 bytes for 12- to 29-bit p (22-7392 entries; the solver's own tables
-are those of orders below _IC_ORDER), against 111-138 for a frozenset of
-the powers plus an ascending list of them, and 95-118 against 68-127 bytes
-for 30- to 38-bit p (11188-155380 entries; tracemalloc, CPython 3.11 on
-x86-64). Tables are kept across calls, one per group
-(generator, modulus, order), so a second target in a group pays only the
-giant steps. The entries held across all kept tables are bounded by
-_TABLE_ENTRIES.
+76-114 bytes for 12- to 29-bit p (22-7392 entries), against 111-138 for a
+frozenset of the powers plus an ascending list of them (tracemalloc,
+CPython 3.11 on x86-64). Tables are kept across calls, one per group
+(g mod m, m, order), so a second target in a group pays only the giant
+steps; _baby_steps keeps numtheory._GROUPS = 64 of them, least recently used
+evicted first, each at most ceil(11/20*sqrt(_IC_ORDER)) = 9012 entries.
 
 Index calculus (Adleman 1979; HAC 3.6.5) takes the subgroup of odd prime
 order q in the units mod a prime m whose cofactor k = (m - 1)/q is prime to
@@ -37,67 +35,37 @@ pow(g, n, m) == h confirms it."""
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd, isqrt, prod
 from random import Random
-from threading import Lock
 
 from .arith import mod_inv
 from .errors import InvalidInputError, OrderTooLargeError, PreconditionError, SearchExhaustedError
 from .mcrt import RowEchelon
-from .numtheory import is_prime
+from .numtheory import _GROUPS, is_prime
 
-# Largest order either engine accepts, which admits every p up to 48 bits.
-# It bounds index-calculus time: a cold 48-bit `dlogcrt solve` (relation
-# phase and one target, interpreter start included) took 0.28-0.33 s and
-# 16 MB peak RSS in a child process (three gen_safe_prime(48, seed) groups,
-# 2-vCPU x86-64 host). A direct dlog_bsgs call at this bound builds a
-# baby-step table of ceil(11/20*sqrt(order)) entries, about 9.2 million.
-_BSGS_LIMIT = 2**48
+# Largest order dlog accepts, which admits every p up to 48 bits. It bounds
+# index-calculus time: a cold 48-bit `dlogcrt solve` (relation phase and one
+# target, interpreter start included) took 0.28-0.33 s and 16 MB peak RSS in
+# a child process (three gen_safe_prime(48, seed) groups, 2-vCPU x86-64 host).
+_ORDER_LIMIT = 2**48
 
-# Most baby-step entries kept across calls, over all groups, about 40-62 MB
-# at 76-118 bytes an entry (see above). The solver's own tables are those of
-# orders below _IC_ORDER, at most 9012 entries each; the bound matters for
-# direct dlog_bsgs calls, and still holds the tables of a 36- and a 38-bit
-# group (238133 entries) or a 40-bit group's (404398 entries). A larger
-# table is used for its own call and not kept.
-_TABLE_ENTRIES = 2**19
+# Orders from which dlog takes index calculus, and the limit of dlog_bsgs:
+# the smallest power of two above which a cold index-calculus solve
+# (relation phase and one target, fresh process) was no slower than a cold
+# baby-step giant-step solve. Medians of 3 targets each, gen_safe_prime(bits,
+# seed) for seeds 1-5, BSGS / index calculus, 2-vCPU x86-64 host: 29-bit p
+# (order 2**27) 1.6-3.1 / 2.2-4.7 ms, BSGS faster for all five; 30-bit p
+# (2**28) 2.8-5.2 / 2.0-3.8 ms, index calculus faster for all five; 32-bit p
+# (2**30, seeds 1-3) 10-15 / 3.5-7.6 ms; the 32-, 34-, 36- and 38-bit
+# solve-large groups 10 / 3.7, 16 / 9.6, 44 / 11 and 69 / 13 ms.
+_IC_ORDER = 2**28
 
 # Baby steps a table holds per sqrt(order), as a fraction: step is the
 # smallest int at least 11/20*sqrt(order). A query then takes at most
 # order/step giant steps, about 0.91*sqrt(order) on average.
 _STEP_SCALE = (11, 20)
-
-
-class _Tables:
-    """Kept baby-step tables, oldest first: (generator, modulus, order) ->
-    (step, {g**j: smallest such j < step}, g**-step), with the entries they
-    hold in total."""
-
-    def __init__(self):
-        self.by_group: OrderedDict[tuple[int, int, int], tuple] = OrderedDict()
-        self.entries = 0
-        self.lock = Lock()
-
-    def keep(self, key: tuple[int, int, int], table: tuple) -> None:
-        """Keep a table, evicting the oldest until the entries fit the bound;
-        a table larger than the bound is not kept."""
-        size = table[0]
-        if size > _TABLE_ENTRIES:
-            return
-        with self.lock:
-            if key in self.by_group:
-                return
-            while self.entries + size > _TABLE_ENTRIES:
-                _, (old, *_) = self.by_group.popitem(last=False)
-                self.entries -= old
-            self.by_group[key] = table
-            self.entries += size
-
-
-_tables = _Tables()
 
 
 @dataclass(frozen=True)
@@ -124,6 +92,20 @@ class CyclicContext:
             )
 
 
+def dlog(ctx: CyclicContext, h: int) -> int | None:
+    """The n in [0, order) with g**n = h (mod m), or None if h is outside
+    the subgroup, for orders up to 2**48: index calculus from order
+    _IC_ORDER up, baby-step giant-step below it."""
+    if ctx.order > _ORDER_LIMIT:
+        raise OrderTooLargeError(
+            f"order {ctx.order} exceeds the subgroup-log limit {_ORDER_LIMIT}"
+        )
+    if ctx.order >= _IC_ORDER:
+        return _dlog_index_calculus(ctx, h)
+    return dlog_bsgs(ctx, h)
+
+
+@lru_cache(maxsize=_GROUPS)
 def _baby_steps(g: int, m: int, order: int) -> tuple[int, dict[int, int], int]:
     """(step, baby, giant stride) with step the smallest int at least
     _STEP_SCALE*sqrt(order): baby maps each g**j, j in [0, step), to the
@@ -139,23 +121,18 @@ def _baby_steps(g: int, m: int, order: int) -> tuple[int, dict[int, int], int]:
 
 def dlog_bsgs(ctx: CyclicContext, h: int) -> int | None:
     """Baby-step giant-step: smallest n in [0, order) with g**n = h (mod m),
-    or None if h is outside the subgroup. Guarded to orders up to 2**48.
+    or None if h is outside the subgroup, for orders below _IC_ORDER
+    (OrderTooLargeError from it up).
 
     The baby-step table of ceil(11/20*sqrt(order)) entries is built on a
-    group's first query and kept for later ones (see _TABLE_ENTRIES); a query
-    costs up to about 1.82*sqrt(order) giant steps, 0.91*sqrt(order) on
-    average."""
-    if ctx.order > _BSGS_LIMIT:
+    group's first query and kept for later ones; a query costs up to about
+    1.82*sqrt(order) giant steps, 0.91*sqrt(order) on average."""
+    if ctx.order >= _IC_ORDER:
         raise OrderTooLargeError(
-            f"order {ctx.order} exceeds baby-step giant-step limit {_BSGS_LIMIT}"
+            f"order {ctx.order} is not below the baby-step giant-step limit {_IC_ORDER}"
         )
-    g, m, order = ctx.generator, ctx.modulus, ctx.order
-    key = (g % m, m, order)
-    table = _tables.by_group.get(key)
-    if table is None:
-        table = _baby_steps(g, m, order)
-        _tables.keep(key, table)
-    step, baby, giant = table
+    m, order = ctx.modulus, ctx.order
+    step, baby, giant = _baby_steps(ctx.generator % m, m, order)
     y = h % m
     for i in range((order - 1) // step + 1):
         if y in baby:  # only the last step can reach past the order
@@ -165,17 +142,6 @@ def dlog_bsgs(ctx: CyclicContext, h: int) -> int | None:
     return None
 
 
-# Orders from which subgroup_index_mod_q takes index calculus: the smallest
-# power of two above which a cold index-calculus solve (relation phase and
-# one target, fresh process) was no slower than a cold baby-step giant-step
-# solve. Medians of 3 targets each, gen_safe_prime(bits, seed) for seeds
-# 1-5, BSGS / index calculus, 2-vCPU x86-64 host: 29-bit p (order 2**27)
-# 1.6-3.1 / 2.2-4.7 ms, BSGS faster for all five; 30-bit p (2**28) 2.8-5.2 /
-# 2.0-3.8 ms, index calculus faster for all five; 32-bit p (2**30, seeds
-# 1-3) 10-15 / 3.5-7.6 ms; the 32-, 34-, 36- and 38-bit solve-large groups
-# 10 / 3.7, 16 / 9.6, 44 / 11 and 69 / 13 ms.
-_IC_ORDER = 2**28
-
 # Factor-base bound B by modulus bits: the primes below B for a modulus of
 # at most that many bits, and the last B above. Each is the B of least cold
 # cost (relation phase and first target, seeds 1-3), the larger of two
@@ -183,10 +149,6 @@ _IC_ORDER = 2**28
 # warm at 30 bits 3 / 0.04-0.06 ms, 36 bits 12-17 / 0.14-0.17 ms, 42 bits
 # 53-65 / 0.15-0.27 ms, 48 bits 173-205 / 0.29-0.39 ms.
 _IC_BASES = ((33, 128), (37, 256), (47, 512), (49, 1024))
-
-# Index-calculus groups whose factor-base logs are kept: a few hundred ints
-# each.
-_IC_GROUPS = 8
 
 # The loop bounds. A relation phase tests at most _IC_CANDIDATES candidates
 # and keeps at most 2N + 30 relations for N factor-base primes (the cap); a
@@ -231,7 +193,9 @@ def _exponents(x: int, primes) -> dict[int, int]:
     return exps
 
 
-@lru_cache(maxsize=_IC_GROUPS)
+# Factor-base logs are kept per group, numtheory._GROUPS of them: a few
+# hundred ints each.
+@lru_cache(maxsize=_GROUPS)
 def _factor_base_logs(g: int, m: int, order: int) -> tuple[int, dict[int, int], int, int, int]:
     """(1/k mod order, logs, product, stride, step) for the subgroup of odd
     prime order in the units mod the prime m, k = (m - 1)/order: logs maps
@@ -274,15 +238,10 @@ def _factor_base_logs(g: int, m: int, order: int) -> tuple[int, dict[int, int], 
 def _dlog_index_calculus(ctx: CyclicContext, h: int) -> int | None:
     """Index calculus: the n in [0, order) with g**n = h (mod m), or None if
     h is outside the subgroup; for a subgroup of odd prime order in the units
-    mod a prime (PreconditionError otherwise). Guarded to orders up to 2**48.
+    mod a prime (PreconditionError otherwise).
 
     A group's first query runs the relation phase and keeps the logs it
-    fixes (see _IC_GROUPS); every query runs a descent of about 40 target
-    powers at 48 bits."""
-    if ctx.order > _BSGS_LIMIT:
-        raise OrderTooLargeError(
-            f"order {ctx.order} exceeds the subgroup-log limit {_BSGS_LIMIT}"
-        )
+    fixes; every query runs a descent of about 40 target powers at 48 bits."""
     g, m, order = ctx.generator % ctx.modulus, ctx.modulus, ctx.order
     h %= m
     if pow(h, order, m) != 1:

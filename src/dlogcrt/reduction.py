@@ -9,13 +9,12 @@ from dataclasses import dataclass, replace
 from functools import lru_cache, reduce
 from math import gcd
 
-from . import oracle
 from .arith import _pow_fixed, crt_pair
 from .errors import InvalidInstanceError, NoSolutionError
 from .lift import Lemma2Report, _lemma2, _linear_coefficients
 from .mcrt import LinearEquation, LinearSystem
 from .numtheory import _GROUPS, SafePrimeParams
-from .oracle import CyclicContext, dlog_bsgs
+from .oracle import CyclicContext, dlog
 from .quotients import lift_profile
 
 
@@ -112,10 +111,8 @@ def _subgroup(a_res: int, p: int, q: int) -> CyclicContext:
 
 def _subgroup_log(ctx: CyclicContext, b_res: int) -> int:
     """The n_q in [0, q) with A**n_q = b_res (mod p) in the order-q subgroup
-    ctx generated by A mod p, for b_res = target**(q-1) mod p. Orders from
-    oracle._IC_ORDER take index calculus, smaller ones baby-step giant-step."""
-    solve = oracle._dlog_index_calculus if ctx.order >= oracle._IC_ORDER else dlog_bsgs
-    n_q = solve(ctx, b_res)
+    ctx generated by A mod p, for b_res = target**(q-1) mod p."""
+    n_q = dlog(ctx, b_res)
     if n_q is None:
         raise NoSolutionError(
             "target power residue is outside the subgroup; instance invariants broken"

@@ -14,7 +14,7 @@ import pkgutil
 import pytest
 
 import dlogcrt
-from dlogcrt import CyclicContext, Factorization, SafePrimeParams, oracle
+from dlogcrt import CyclicContext, Factorization, SafePrimeParams
 
 
 def sieve(limit: int) -> list[int]:
@@ -163,12 +163,11 @@ KEPT_CACHES = _kept_caches()
 @pytest.fixture(autouse=True)
 def fresh_caches():
     """Empty every per-process cache of the package before each test (every
-    lru_cache, the index-calculus factor-base logs among them, and the kept
-    baby-step tables), so that no test's call counts, relation phases or
-    first query depend on the tests run before it."""
+    lru_cache, the index-calculus factor-base logs and the baby-step tables
+    among them), so that no test's call counts, relation phases or first
+    query depend on the tests run before it."""
     for cache in KEPT_CACHES.values():
         cache.cache_clear()
-    oracle._tables = oracle._Tables()
 
 
 @pytest.fixture

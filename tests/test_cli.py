@@ -706,7 +706,7 @@ class TestExperiment:
     def test_error_part_way_is_one_more_json_line(self, capsys, monkeypatch):
         # a subgroup order above the solver bound stops the run after the
         # records already written; stdout stays JSON lines
-        monkeypatch.setattr(oracle, "_BSGS_LIMIT", 300)
+        monkeypatch.setattr(oracle, "_ORDER_LIMIT", 300)
         code, out = run_cli(
             capsys,
             "experiment", "--count", "50", "--qmin", "5", "--qmax", "499", "--seed", "1",

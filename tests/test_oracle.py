@@ -1,8 +1,6 @@
 import random
 import sys
 import threading
-import time
-from collections import OrderedDict
 from math import gcd
 
 import pytest
@@ -13,23 +11,16 @@ from dlogcrt import (
     DlogInstance,
     Factorization,
     SafePrimeParams,
-    dlog_bsgs,
+    dlog,
     is_prime,
     oracle,
     primitive_root,
     solve_small,
 )
 from dlogcrt.errors import InvalidInputError, OrderTooLargeError, PreconditionError
+from dlogcrt.oracle import dlog_bsgs
 
 from conftest import SAFE_QS, dlog_bruteforce, factorize, sieve
-
-
-@pytest.fixture
-def tables(monkeypatch):
-    """A fresh, empty table cache for one test."""
-    fresh = oracle._Tables()
-    monkeypatch.setattr(oracle, "_tables", fresh)
-    return fresh
 
 
 def subgroup(q: int) -> tuple[int, int, int]:
@@ -39,18 +30,6 @@ def subgroup(q: int) -> tuple[int, int, int]:
     p = 2 * q + 1
     a0 = primitive_root(p, Factorization(((2, 1), (q, 1))))
     return p, pow(a0, q - 1, p), pow(a0, q - 1, p * q)
-
-
-class YieldingDict(OrderedDict):
-    """An OrderedDict that lets other threads run inside each eviction."""
-
-    def popitem(self, last=True):
-        time.sleep(0)
-        return super().popitem(last)
-
-
-def held_entries(tables) -> int:
-    return sum(len(baby) for _, baby, _ in tables.by_group.values())
 
 
 class TestCyclicContext:
@@ -89,10 +68,10 @@ class TestBsgs:
     def test_outside_subgroup_is_none(self):
         assert dlog_bsgs(CyclicContext(16, 55, 5), 2) is None
 
-    def test_guard_on_large_order(self):
-        ctx = CyclicContext(1, 2, 2**48 + 1)
+    def test_guard_from_the_index_calculus_order(self):
+        assert dlog_bsgs(CyclicContext(1, 2, oracle._IC_ORDER - 1), 1) == 0
         with pytest.raises(OrderTooLargeError):
-            dlog_bsgs(ctx, 1)
+            dlog_bsgs(CyclicContext(1, 2, oracle._IC_ORDER), 1)
 
     def test_trivial_group(self):
         ctx = CyclicContext(1, 7, 1)
@@ -139,25 +118,25 @@ class TestBsgsDifferential:
     subgroup of every SAFE_QS group, mod p and mod pq, over all of [0, q)."""
 
     @pytest.mark.parametrize("q", SAFE_QS)
-    def test_subgroup_cold_then_warm(self, q, tables, monkeypatch):
+    def test_subgroup_cold_then_warm(self, q):
         p, a_p, a_pq = subgroup(q)
+        tables = oracle._baby_steps
         for m, a in ((p, a_p), (p * q, a_pq)):
             ctx = CyclicContext(a, m, q)
             targets = [pow(a, n, m) for n in range(q)]
             want = [discrete_log(m, h, a) for h in targets]
             assert want == list(range(q))
             assert want == [dlog_bruteforce(ctx, h) for h in targets]
-            with monkeypatch.context() as cold:
-                cold.setattr(oracle, "_TABLE_ENTRIES", 0)  # nothing is kept
-                assert [dlog_bsgs(ctx, h) for h in targets] == want
-            assert (a, m, q) not in tables.by_group
+            # cold: every query builds its table
+            assert [tables.cache_clear() or dlog_bsgs(ctx, h) for h in targets] == want
+            tables.cache_clear()
             assert [dlog_bsgs(ctx, h) for h in targets] == want
-            assert (a, m, q) in tables.by_group
             assert [dlog_bsgs(ctx, h) for h in targets] == want
             assert dlog_bsgs(ctx, m - 1) is None  # -1 has order 2
+            assert tables.cache_info()[:2] == (2 * q, 1)  # (hits, misses)
 
     @pytest.mark.parametrize("q", SAFE_QS)
-    def test_claimed_order_multiple_gives_smallest_exponent(self, q, tables):
+    def test_claimed_order_multiple_gives_smallest_exponent(self, q):
         # at 8*q**2 the table (about 1.4*q entries) holds each power twice
         p, a_p, a_pq = subgroup(q)
         for m, a in ((p, a_p), (p * q, a_pq)):
@@ -167,14 +146,14 @@ class TestBsgsDifferential:
                     h = pow(a, n, m)
                     assert dlog_bsgs(ctx, h) == n == dlog_bruteforce(ctx, h), (m, order, n)
 
-    def test_full_group_with_claimed_multiple(self, tables):
+    def test_full_group_with_claimed_multiple(self):
         for p in (11, 23, 101, 227):
             g = primitive_root(p, factorize(p - 1))
             ctx = CyclicContext(g, p, 4 * (p - 1) ** 2)  # p - 1 table entries
             for h in range(1, p):
                 assert dlog_bsgs(ctx, h) == discrete_log(p, h, g) == dlog_bruteforce(ctx, h)
 
-    def test_moduli_above_2_to_the_64(self, tables):
+    def test_moduli_above_2_to_the_64(self):
         # a prime m > 2**64 with m - 1 divisible by 1019, and a generator of
         # the order-1019 subgroup, asked with a claimed order multiple too
         m = next(m for m in range(2**64 + 1, 2**65) if m % 2038 == 1 and is_prime(m))
@@ -203,6 +182,7 @@ class TestBsgsDifferentialStepScales(TestBsgsDifferential):
             shapes.append((order, table[0], (order - 1) // table[0] + 1))
             return table
 
+        scaled.cache_clear, scaled.cache_info = baby_steps.cache_clear, baby_steps.cache_info
         monkeypatch.setattr(oracle, "_STEP_SCALE", request.param)
         monkeypatch.setattr(oracle, "_baby_steps", scaled)
         yield
@@ -219,7 +199,7 @@ class TestTableProbe:
     """The dict probe at its edges: the smallest j among repeated baby
     values, and the bound n < order on the last giant step."""
 
-    def test_repeated_baby_values_give_the_smallest_j(self, tables):
+    def test_repeated_baby_values_give_the_smallest_j(self):
         # at order 8*q**2 the step exceeds q, so a**j = a**(j + q) for j < step - q
         for q in (5, 23, 83):
             p, a, _ = subgroup(q)
@@ -227,11 +207,11 @@ class TestTableProbe:
             for n in range(q):
                 h = pow(a, n, p)
                 assert dlog_bsgs(ctx, h) == n == dlog_bruteforce(ctx, h), (q, n)
-            step, baby, _ = tables.by_group[(a, p, 8 * q * q)]
+            step, baby, _ = oracle._baby_steps(a, p, 8 * q * q)
             assert step > q == len(baby)
             assert sorted(baby.values()) == list(range(q))
 
-    def test_hit_past_the_order_on_the_last_step_is_rejected(self, tables, monkeypatch):
+    def test_hit_past_the_order_on_the_last_step_is_rejected(self, monkeypatch):
         # a valid order is a multiple of the generator's, and a last-step hit
         # past it was then found at step 0; order 9 below a's order 23, past
         # the check, gives step 2 and 5 giant steps, and a**9 hits the last
@@ -242,67 +222,24 @@ class TestTableProbe:
         for n in range(23):
             h = pow(a, n, p)
             assert dlog_bsgs(ctx, h) == (n if n < 9 else None) == dlog_bruteforce(ctx, h), n
-        assert tables.by_group[(a, p, 9)][0] == 2
+        assert oracle._baby_steps(a, p, 9)[0] == 2
 
 
 class TestTableCache:
-    def test_second_target_builds_no_table(self, tables, monkeypatch):
-        built = []
-        baby_steps = oracle._baby_steps
-        monkeypatch.setattr(
-            oracle, "_baby_steps", lambda *args: built.append(args) or baby_steps(*args)
-        )
+    def test_second_target_builds_no_table(self):
         p, a, _ = subgroup(491)
         ctx = CyclicContext(a, p, 491)
         assert dlog_bsgs(ctx, pow(a, 100, p)) == 100
         assert dlog_bsgs(ctx, pow(a, 7, p)) == 7
         assert dlog_bsgs(CyclicContext(a, p, 491), pow(a, 300, p)) == 300
-        assert built == [(a, p, 491)]
-        assert list(tables.by_group) == [(a, p, 491)]
-        assert tables.entries == 13  # ceil(11/20 * sqrt(491))
+        assert dlog_bsgs(CyclicContext(a + p, p, 491), pow(a, 400, p)) == 400
+        info = oracle._baby_steps.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (3, 1, 1)
+        assert oracle._baby_steps(a, p, 491)[0] == 13  # ceil(11/20 * sqrt(491))
 
-    def test_held_entries_stay_within_bound(self, tables, monkeypatch):
-        monkeypatch.setattr(oracle, "_TABLE_ENTRIES", 40)
-        rng = random.Random(11)
-        for _ in range(200):
-            q = rng.choice(SAFE_QS)
-            p, a, _ = subgroup(q)
-            n = rng.randrange(q)
-            assert dlog_bsgs(CyclicContext(a, p, q), pow(a, n, p)) == n
-            assert tables.entries == held_entries(tables) <= 40
-        assert len(tables.by_group) > 1
-
-    def test_table_over_bound_is_not_kept(self, tables, monkeypatch):
-        monkeypatch.setattr(oracle, "_TABLE_ENTRIES", 11)
-        small_p, small_a, _ = subgroup(5)
-        assert dlog_bsgs(CyclicContext(small_a, small_p, 5), pow(small_a, 3, small_p)) == 3
-        p, a, _ = subgroup(491)  # a 13-entry table
-        for n in (0, 1, 245, 490):
-            assert dlog_bsgs(CyclicContext(a, p, 491), pow(a, n, p)) == n
-        assert list(tables.by_group) == [(small_a, small_p, 5)]
-        assert tables.entries == 2
-
-    def test_oldest_tables_are_evicted_first(self, tables, monkeypatch):
-        # tables of 3, 6, 7 and 9 entries against a bound of 16
-        monkeypatch.setattr(oracle, "_TABLE_ENTRIES", 16)
-        keys = []
-        for q in (23, 83, 131, 239):
-            p, a, _ = subgroup(q)
-            assert dlog_bsgs(CyclicContext(a, p, q), pow(a, q - 1, p)) == q - 1
-            keys.append((a, p, q))
-        assert list(tables.by_group) == keys[2:]
-        assert tables.entries == 16
-        p, a, _ = subgroup(83)
-        dlog_bsgs(CyclicContext(a, p, 83), a)
-        assert list(tables.by_group) == [keys[3], keys[1]]
-        assert tables.entries == 15
-
-    def test_threads_keep_the_count_exact(self, tables, monkeypatch):
-        # more threads than cores, switching often and inside every
-        # eviction, against a bound that forces evictions: every result is
-        # right and the running count matches the tables held
-        monkeypatch.setattr(oracle, "_TABLE_ENTRIES", 30)
-        tables.by_group = YieldingDict()
+    def test_threads_share_the_tables(self):
+        # more threads than cores, switching often: every result is right
+        # and the kept tables stay within the cache's bound
         groups = [subgroup(q)[:2] + (q,) for q in SAFE_QS]
         wrong = []
 
@@ -326,7 +263,8 @@ class TestTableCache:
             sys.setswitchinterval(interval)
         assert not any(thread.is_alive() for thread in threads)
         assert wrong == []
-        assert tables.entries == held_entries(tables) <= 30
+        info = oracle._baby_steps.cache_info()
+        assert 0 < info.currsize <= info.maxsize
 
 
 # The solve-large benchmark's pinned groups (bench/fixtures.json), each with
@@ -354,7 +292,7 @@ class TestIndexCalculus:
         monkeypatch.setattr(oracle, "_IC_ORDER", 0)
 
     @pytest.mark.parametrize("q", SAFE_QS)
-    def test_every_unit_of_every_safe_group(self, q, forced, tables):
+    def test_every_unit_of_every_safe_group(self, q, forced):
         # every element of the order-q subgroup gets its log, and every other
         # unit None; the contract allows SearchExhaustedError, never another
         # number, and none of these groups exhausts a bound
@@ -367,10 +305,10 @@ class TestIndexCalculus:
         params = SafePrimeParams(p, q)
         for n in range(p - 1):
             assert solve_small(DlogInstance(params, a0, unit_target(p, q, a0, n))) == n
-        assert not tables.by_group  # no baby-step table was built
+        assert oracle._baby_steps.cache_info().currsize == 0  # no baby-step table was built
 
     @pytest.mark.parametrize("p, q, a0", FIXTURE_GROUPS, ids=("32bit", "34bit", "36bit", "38bit"))
-    def test_seeded_targets_on_the_fixture_groups(self, p, q, a0, tables):
+    def test_seeded_targets_on_the_fixture_groups(self, p, q, a0):
         params = SafePrimeParams(p, q)
         rng = random.Random(q)
         for i in range(20):
@@ -380,7 +318,7 @@ class TestIndexCalculus:
             assert pow(a0, found, p) == b0 % p and found == n
             if i == 0:
                 assert discrete_log(p, b0 % p, a0) == n
-        assert not tables.by_group  # no baby-step table was built
+        assert oracle._baby_steps.cache_info().currsize == 0  # no baby-step table was built
 
     def test_second_target_runs_no_relation_phase(self, monkeypatch):
         phases = []
@@ -400,10 +338,6 @@ class TestIndexCalculus:
         for h in (a0, p - 1, 0, p):
             assert oracle._dlog_index_calculus(ctx, h) is None
 
-    def test_guard_on_large_order(self):
-        with pytest.raises(OrderTooLargeError):
-            oracle._dlog_index_calculus(CyclicContext(1, 2, 2**48 + 1), 1)
-
     @pytest.mark.parametrize(
         "m, order",
         [(55, 5), (7, 6), (23, 2), (23, 5), (19, 3)],
@@ -414,3 +348,36 @@ class TestIndexCalculus:
         monkeypatch.setattr(CyclicContext, "__post_init__", lambda self: None)
         with pytest.raises(PreconditionError):
             oracle._dlog_index_calculus(CyclicContext(1, m, order), 1)
+
+
+class TestDlog:
+    """The one subgroup-log entry: its order limit and the engine it picks."""
+
+    @pytest.mark.parametrize("q", [5, 83, 491])
+    def test_engine_changes_at_the_index_calculus_order(self, q, monkeypatch):
+        # order q - 1 (the units mod q) just below the boundary, order q
+        # (the order-q subgroup mod 2q + 1) at it
+        engines = []
+
+        def recorded(name):
+            engine = getattr(oracle, name)
+            return lambda *args: engines.append(name) or engine(*args)
+
+        for name in ("dlog_bsgs", "_dlog_index_calculus"):
+            monkeypatch.setattr(oracle, name, recorded(name))
+        monkeypatch.setattr(oracle, "_IC_ORDER", q)
+        g = primitive_root(q, factorize(q - 1))
+        p, a, _ = subgroup(q)
+        below, at = CyclicContext(g, q, q - 1), CyclicContext(a, p, q)
+        for ctx, engine in ((below, "dlog_bsgs"), (at, "_dlog_index_calculus")):
+            engines.clear()
+            units = range(1, ctx.modulus)
+            assert [dlog(ctx, h) for h in units] == [dlog_bruteforce(ctx, h) for h in units]
+            assert set(engines) == {engine}
+        with pytest.raises(OrderTooLargeError):
+            oracle.dlog_bsgs(at, a)
+
+    def test_guard_above_the_order_limit(self):
+        ctx = CyclicContext(1, 2, oracle._ORDER_LIMIT + 1)
+        with pytest.raises(OrderTooLargeError):
+            dlog(ctx, 1)

@@ -27,7 +27,6 @@ from .numtheory import (
     Factorization,
     SafePrimeParams,
     gen_safe_prime,
-    is_prime,
     primitive_root,
 )
 from .quotients import lift_profile
@@ -243,19 +242,13 @@ def _print_json(doc: dict) -> None:
     print(json.dumps(doc, indent=2, sort_keys=True))
 
 
-# experiment's error document; one encoder per process, as json.dumps with
-# options builds one per call
-_json_line = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-
-
 def _explain_lines(report: VerificationReport) -> list[str]:
     inst = report.instance
     params = inst.params
     a0, b0, n = inst.base, inst.target, inst.known_index
     lemma2 = report.lemma2
     pa, pb, beta = lemma2.profile_a, lemma2.profile_b, lemma2.beta
-    system = transform(inst)  # from the kept lift profiles: no new power
-    master = system.master
+    c, d, m1 = lemma2.index_coeff, lemma2.constant, params.m1
 
     def mark(ok: bool) -> str:
         return "ok" if ok else "FAIL"
@@ -288,18 +281,13 @@ def _explain_lines(report: VerificationReport) -> list[str]:
         f"  {a0}^(n*(q-1)) mod {params.m2} = B + beta*{params.m1}"
         f" with beta = {beta}",
         "",
-        f"master congruence in the unknowns (beta, n) mod {params.m1}",
-        f"  beta + {master.index_coeff}*n = {master.constant} (mod {master.modulus})"
-        f"   [{corrected}:"
-        f" {beta} + {master.index_coeff}*{n} ="
-        f" {(beta + master.index_coeff * n) % master.modulus}]",
+        f"master congruence in the unknowns (beta, n) mod {m1}",
+        f"  beta + {c}*n = {d} (mod {m1})"
+        f"   [{corrected}: {beta} + {c}*{n} = {(beta + c * n) % m1}]",
         "  split over the coprime moduli:",
     ]
-    for part in system.parts:
-        lines.append(
-            f"    beta + {part.index_coeff}*n = {part.constant}"
-            f" (mod {part.modulus})   [{corrected}]"
-        )
+    for m in (params.p, params.q):
+        lines.append(f"    beta + {c % m}*n = {d % m} (mod {m})   [{corrected}]")
     lines += [
         "",
         "consistency checks",
@@ -450,10 +438,7 @@ def _run(args: argparse.Namespace) -> int:
         _print_json({"n": str(solve_small(_instance(args, None)))})
 
     elif args.command == "recover-p2":
-        if not is_prime(args.p):
-            raise InvalidInputError(f"{args.p} is not prime")
-        p = args.p
-        n, b0, beta, a1, b1 = recover_index_mod_p2(p, args.a0, args.power % (p * p))
+        n, b0, beta, a1, b1 = recover_index_mod_p2(args.p, args.a0, args.power)
         _print_json(
             {"n": str(n), "b0": str(b0), "beta": str(beta), "a1": str(a1), "b1": str(b1)}
         )
@@ -492,7 +477,7 @@ def main(argv: list[str] | None = None) -> int:
             doc = {"error": {"code": exc.code, "message": str(exc)}}
             # experiment's stdout is JSON lines, so its error is one more line
             if args.command == "experiment":
-                print(_json_line(doc))
+                print(json.dumps(doc, sort_keys=True, separators=(",", ":")))
             else:
                 _print_json(doc)
             code = 1

@@ -18,20 +18,14 @@ from math import gcd
 
 from .arith import _pow_fixed, mod_inv
 from .errors import (
+    InvalidInputError,
     Lemma1ViolationError,
     NotAUnitError,
     PreconditionError,
     ZeroDigitError,
 )
-from .numtheory import SafePrimeParams, is_prime
+from .numtheory import _GROUPS, SafePrimeParams, is_prime
 from .quotients import LiftProfile, _exact_quotient, _pow_m2, _require_unit, lift_profile
-
-# Lemma-2 reports kept per process, least recently used evicted first. A
-# caller that checks one instance through several entries (check_lemma2, then
-# carry_beta_pq) needs only its latest report; 64, as for
-# quotients._PROFILES (which also gives the memory both take), leaves room
-# for callers that interleave instances of many groups.
-_REPORTS = 64
 
 # recover_index_mod_p2 factors p - 1 by trial division below this bound, and
 # the cofactor left must be 1 or pass is_prime. That factors p - 1 for every
@@ -50,8 +44,9 @@ class CompositeCarry:
 
 
 def recover_index_mod_p2(p: int, a0: int, power: int) -> tuple[int, int, int, int, int]:
-    """Index n mod p of a primitive root a0 from X = a0**n mod p**2, with
-    the values it is derived from: the tuple (n, b0, beta, a1, b1).
+    """Index n mod p of a primitive root a0 from X = a0**n mod p**2, for a
+    prime p (InvalidInputError otherwise), with the values it is derived
+    from: the tuple (n, b0, beta, a1, b1).
 
     The Teichmuller digit of a unit x < p is x1 = ((x**p mod p**2) - x) / p:
     the lift x + x1*p is the fixed point of Y -> Y**p mod p**2 above x.
@@ -64,6 +59,8 @@ def recover_index_mod_p2(p: int, a0: int, power: int) -> tuple[int, int, int, in
     cofactor), and, when that leaves a composite cofactor, every base: it
     cannot be confirmed to generate.
     """
+    if not is_prime(p):
+        raise InvalidInputError(f"{p} is not prime")
     a0 = a0 % p
     _require_unit(a0, p, "a0")
     if gcd(power, p) != 1:
@@ -167,14 +164,14 @@ class Lemma2Report:
     literal_lift_identity_ok: bool
 
 
-@lru_cache(maxsize=_REPORTS)
+@lru_cache(maxsize=_GROUPS)
 def check_lemma2(params: SafePrimeParams, a0: int, b0: int, n: int) -> Lemma2Report:
     """Evaluate the composite lift identity with the corrected and with the
     literal digits (see _lemma2). The lift profiles of a0 and b0 are taken
     first, then the premise a0**n = b0 (mod p) of lemma 1 is checked.
 
-    Reports are kept per process (see _REPORTS), keyed on the unreduced n; an
-    instance that violates lemma 1 raises on every call.
+    Reports are kept per process (see numtheory._GROUPS), keyed on the
+    unreduced n; an instance that violates lemma 1 raises on every call.
     """
     p = params.p
     prof_a = lift_profile(params, a0)

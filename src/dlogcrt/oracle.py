@@ -209,7 +209,7 @@ def _factor_base_logs(g: int, m: int, order: int) -> tuple[int, dict[int, int], 
             f"m - 1 once, got m = {m} and order {order}"
         )
     bound = next((b for bits, b in _IC_BASES if m.bit_length() <= bits), _IC_BASES[-1][1])
-    primes = [l for l in range(2, min(bound, m)) if all(l % d for d in range(2, isqrt(l) + 1))]
+    primes = [l for l in range(2, min(bound, m)) if is_prime(l)]
     base, cut = prod(primes), isqrt(m)
     step = Random(f"{g}:{m}").randrange(1, order)
     stride = pow(g, step, m)

@@ -24,14 +24,7 @@ from math import gcd
 
 from .arith import _pow_fixed
 from .errors import ExactnessError, NotAUnitError, PreconditionError
-from .numtheory import SafePrimeParams
-
-# Lift profiles kept per process, least recently used evicted first. 64 holds
-# a base for each of the 23 groups the experiment sampler draws from
-# (safe-prime q in [5, 499]) with room for the targets in flight. Both this
-# cache and lift._REPORTS full at 1024 bits take 0.28 MB (tracemalloc,
-# CPython 3.11 on x86-64).
-_PROFILES = 64
+from .numtheory import _GROUPS, SafePrimeParams
 
 
 @dataclass(frozen=True)
@@ -87,7 +80,7 @@ def _pow_m2(params: SafePrimeParams, x: int, e: int) -> int:
     return _crt_m2(params, _pow_fixed(x, e, params.p**2), 1 + e * (x - 1))
 
 
-@lru_cache(maxsize=_PROFILES)
+@lru_cache(maxsize=_GROUPS)
 def lift_profile(params: SafePrimeParams, x: int) -> LiftProfile:
     """Assemble the full lift profile of a base from s_p = x**(q-1) mod p**2
     and s_q = x**(q-1) mod q**2. Their CRT is x**(q-1) mod (pq)**2 = A + k*pq;
@@ -98,9 +91,10 @@ def lift_profile(params: SafePrimeParams, x: int) -> LiftProfile:
     to mod (pq)**2; the literal digit -A*q(x) omits it and is wrong whenever
     k != 0 (both are recorded).
 
-    Profiles are kept per process (see _PROFILES), keyed on the exact int x:
-    q(x) depends on x mod (pq)**2, so x and x + pq have different profiles.
-    A base that is not a unit raises on every call; errors are not kept.
+    Profiles are kept per process (see numtheory._GROUPS), keyed on the exact
+    int x: q(x) depends on x mod (pq)**2, so x and x + pq have different
+    profiles. A base that is not a unit raises on every call; errors are not
+    kept.
     """
     _require_unit(x, params.m1, "base")
     p, q, m1 = params.p, params.q, params.m1

@@ -99,20 +99,19 @@ def transform(instance: DlogInstance) -> CongruenceSystem:
     )
 
 
-# The verify path's order-q subgroups, validated once and kept per
-# (A mod p, p, q), least recently used evicted first: numtheory._GROUPS = 64,
-# 37 kB full at 1024 bits (tracemalloc, CPython 3.11 on x86-64). Errors are
-# not kept. solve_small validates its own subgroup on each call.
+# The order-q subgroups of the solve and verify paths, validated once and
+# kept per (A mod p, p, q) under numtheory._GROUPS. Errors are not kept.
 @lru_cache(maxsize=_GROUPS)
 def _subgroup(a_res: int, p: int, q: int) -> CyclicContext:
     """The order-q subgroup generated by a_res mod p."""
     return CyclicContext(generator=a_res, modulus=p, order=q)
 
 
-def _subgroup_log(ctx: CyclicContext, b_res: int) -> int:
-    """The n_q in [0, q) with A**n_q = b_res (mod p) in the order-q subgroup
-    ctx generated by A mod p, for b_res = target**(q-1) mod p."""
-    n_q = dlog(ctx, b_res)
+def _subgroup_log(a_res: int, b_res: int, p: int, q: int) -> int:
+    """The n_q in [0, q) with a_res**n_q = b_res (mod p) in the kept order-q
+    subgroup generated by a_res = base**(q-1) mod p, for b_res =
+    target**(q-1) mod p."""
+    n_q = dlog(_subgroup(a_res, p, q), b_res)
     if n_q is None:
         raise NoSolutionError(
             "target power residue is outside the subgroup; instance invariants broken"
@@ -126,8 +125,7 @@ def subgroup_index_mod_q(instance: DlogInstance) -> int:
     taken mod p, which gives the same n_q: A and B are 1 mod q by Fermat,
     so A**n = B holds mod pq exactly when it holds mod p."""
     p, q = instance.params.p, instance.params.q
-    ctx = CyclicContext(generator=pow(instance.base, q - 1, p), modulus=p, order=q)
-    return _subgroup_log(ctx, pow(instance.target, q - 1, p))
+    return _subgroup_log(pow(instance.base, q - 1, p), pow(instance.target, q - 1, p), p, q)
 
 
 def _lift_candidates(instance: DlogInstance, n_q: int) -> tuple[tuple[int, int], int]:
@@ -186,8 +184,7 @@ def verify_instance(instance: DlogInstance) -> VerificationReport:
     params, p = instance.params, instance.params.p
     prof_a = lift_profile(params, instance.base)
     prof_b = lift_profile(params, instance.target)
-    ctx = _subgroup(prof_a.power_residue % p, p, params.q)
-    n_q = _subgroup_log(ctx, prof_b.power_residue % p)
+    n_q = _subgroup_log(prof_a.power_residue % p, prof_b.power_residue % p, p, params.q)
     candidates, recovered = _lift_candidates(instance, n_q)
     if instance.known_index is None:
         instance = replace(instance, known_index=recovered)

@@ -19,6 +19,7 @@ from dlogcrt import (
 )
 from dlogcrt.errors import (
     DlogCrtError,
+    InvalidInputError,
     Lemma1ViolationError,
     NotAUnitError,
     PreconditionError,
@@ -113,6 +114,14 @@ class TestRecoverIndex:
     def test_rejects_non_unit_power(self):
         with pytest.raises(NotAUnitError):
             recover_index_mod_p2(11, 2, 22)
+
+    @pytest.mark.parametrize("p", [0, 1, 9, 15, 341, 561])
+    def test_rejects_a_p_that_is_not_prime(self, p):
+        # checked first: past it, 9 and 15 would fail the digit's exact
+        # division, 341 and 561 the generator check, 1 the digit check, and
+        # 0 would divide by zero
+        with pytest.raises(InvalidInputError, match=f"^{p} is not prime$"):
+            recover_index_mod_p2(p, 2, 4)
 
     def test_top_of_range_maps_to_p_minus_1(self):
         # a0**(p-1) reduces to 1 mod p; recovery must land on p - 1, not 0

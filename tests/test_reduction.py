@@ -358,6 +358,19 @@ class TestOneDerivation:
             assert report.recovered_ok and report.all_ok
             assert verify_instance(DlogInstance(params, a0, target)) == report
 
+    def test_solve_and_verify_share_one_kept_subgroup(self, params23):
+        # base 5 of p = 23: the solver's first target builds the subgroup,
+        # every later solve and every verification of the group finds it
+        cache = reduction._subgroup
+        assert solve_small(DlogInstance(params23, 5, pow(5, 7, 23))) == 7
+        assert cache.cache_info()[:2] == (0, 1)  # (hits, misses)
+        assert solve_small(DlogInstance(params23, 5, pow(5, 10, 23))) == 10
+        for n in (7, 10, 13):
+            assert verify_instance(DlogInstance(params23, 5, pow(5, n, 23), known_index=n)).all_ok
+        assert verify_instance(DlogInstance(params23, 5, pow(5, 13, 23))).recovered_index == 13
+        info = cache.cache_info()
+        assert (info.hits, info.misses, info.currsize) == (5, 1, 1)
+
     def test_kept_subgroups_stop_at_their_bound(self):
         # every primitive root of three groups as the base, more subgroups
         # than the cache holds, each verified twice: the kept contexts are
@@ -383,7 +396,9 @@ class TestOneDerivation:
 
 def test_every_kept_cache_is_bounded():
     """Every lru_cache in src/ is one of conftest.KEPT_CACHES, which
-    fresh_caches clears between tests, and each has a finite bound."""
+    fresh_caches clears between tests, and each has a finite bound: the
+    per-group bound numtheory._GROUPS, except the power tables, the
+    sampler's groups and the parser."""
     src = Path(reduction.__file__).parent
     decorated = sum(
         len(re.findall(r"^@(?:functools\.)?(?:lru_cache|cache)\b", path.read_text(), re.M))
@@ -391,8 +406,13 @@ def test_every_kept_cache_is_bounded():
     )
     assert decorated == len(KEPT_CACHES)
     assert "dlogcrt.reduction._subgroup" in KEPT_CACHES
+    bounds = {
+        "dlogcrt.arith._powers": arith._POWER_TABLES,
+        "dlogcrt.cli._group": cli.GROUP_CACHE_LIMIT,
+        "dlogcrt.cli.build_parser": 1,
+    }
     for name, cache in KEPT_CACHES.items():
-        assert cache.cache_info().maxsize is not None, name
+        assert cache.cache_info().maxsize == bounds.get(name, numtheory._GROUPS), name
 
 
 class TestSplitRecombine:

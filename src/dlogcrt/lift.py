@@ -24,7 +24,7 @@ from .errors import (
     PreconditionError,
     ZeroDigitError,
 )
-from .numtheory import _GROUPS, SafePrimeParams, is_prime
+from .numtheory import _GROUPS, SafePrimeParams, _jacobi, is_prime
 from .quotients import LiftProfile, _exact_quotient, _pow_m2, _require_unit, lift_profile
 
 # recover_index_mod_p2 factors p - 1 by trial division below this bound, and
@@ -108,28 +108,44 @@ def carry_beta_pq(params: SafePrimeParams, a0: int, b0: int, n: int) -> Composit
     return CompositeCarry(beta=check_lemma2(params, a0, b0, n).beta)
 
 
+def _index_power(a0: int, n: int, p: int) -> int:
+    """a0**n mod p, the index premise of DlogInstance, check_lemma1 and
+    check_lemma2, kept above 64 bits (errors are not), so a checked reduction
+    takes it once. Below, a miss (1.1 us at 10 bits, CPython 3.11) would cost
+    an experiment record more than the builtin pow (0.7 us)."""
+    return _kept_index_power(a0, n, p) if p >> 64 else pow(a0, n, p)
+
+
+@lru_cache(maxsize=_GROUPS)
+def _kept_index_power(a0: int, n: int, p: int) -> int:
+    return _pow_fixed(a0, n, p)
+
+
 def check_lemma1(params: SafePrimeParams, a0: int, b0: int, n: int) -> bool:
     """Whether a0**(n*(q-1)) = b0**(q-1) (mod pq).
 
-    Preconditions (checked): a0, b0 coprime to q, and a0**n = b0 (mod p).
-    Under them the congruence always holds (Fermat mod q, the premise mod p).
-    Mod q both sides are 1 by Fermat, as both bases are units there, so it is
-    checked mod p, a unit's exponent reduced mod p - 1 by Fermat; a base that
-    is 0 mod p keeps its exponent, as pow needs no reduction there. The
-    premise and a0's side use a0's kept power tables (arith._pow_fixed); no
-    profile or lemma-2 report is read, so the route stays independent.
+    Preconditions (checked): a0, b0 coprime to q, a0 a unit mod p if n < 0,
+    and a0**n = b0 (mod p). Under them the congruence always holds (Fermat
+    mod q, the premise mod p). Mod q both sides are 1 by Fermat, as both
+    bases are units there, so it is checked mod p. a0's side is a power from
+    a0's kept table (arith._pow_fixed), a unit's exponent reduced mod p - 1;
+    a base that is 0 mod p keeps its exponent. b0's side is Euler's criterion,
+    b**(q-1) = (b/p) * b**-1 (mod p) for a unit b, as b**q = (b/p) for a prime
+    p = 2q + 1, which SafePrimeParams proves if q is prime (see
+    is_prime_2q_plus_1). No profile or lemma-2 report is read, so the route
+    stays independent.
     """
     p = params.p
     if gcd(a0, params.q) != 1 or gcd(b0, params.q) != 1:
         raise PreconditionError("a0 and b0 must be units mod q")
-    if _pow_fixed(a0, n, p) != b0 % p:
+    if n < 0 and a0 % p == 0:
+        raise PreconditionError(f"a0 = {a0} is not a unit mod {p}, so a0**{n} is undefined")
+    if _index_power(a0, n, p) != b0 % p:
         raise PreconditionError(f"a0**n != b0 (mod {p}); the index premise is violated")
-
-    def power(x: int, e: int, kernel=pow) -> int:  # x**e mod p
-        return kernel(x, e % (p - 1) if x % p else e, p)
-
     e = params.q - 1
-    return power(a0, n * e, _pow_fixed) == power(b0, e)
+    a_side = _pow_fixed(a0, n * e % (p - 1) if a0 % p else n * e, p)
+    b = b0 % p
+    return a_side == (_jacobi(b, p) * pow(b, -1, p) % p if b else 0)
 
 
 def _linear_coefficients(
@@ -176,7 +192,7 @@ def check_lemma2(params: SafePrimeParams, a0: int, b0: int, n: int) -> Lemma2Rep
     p = params.p
     prof_a = lift_profile(params, a0)
     prof_b = lift_profile(params, b0)
-    if (a_n := _pow_fixed(a0, n, p)) != b0 % p:
+    if (a_n := _index_power(a0, n, p)) != b0 % p:
         raise Lemma1ViolationError(f"a0**n = {a_n} != b0 = {b0 % p} (mod {p})")
     return _lemma2(params, prof_a, prof_b, n)
 

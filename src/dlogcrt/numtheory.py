@@ -37,16 +37,17 @@ def _mr_composite_witness(n: int, a: int, d: int, r: int) -> bool:
 
 
 def _jacobi(a: int, n: int) -> int:
-    """Jacobi symbol (a/n) for odd n > 0."""
+    """Jacobi symbol (a/n) for odd n > 0. Each step strips every factor 2
+    of a at once: (2/n) = -1 exactly when n = 3 or 5 (mod 8)."""
     a %= n
     result = 1
     while a:
-        while a % 2 == 0:
-            a //= 2
-            if n % 8 in (3, 5):
-                result = -result
+        twos = (a & -a).bit_length() - 1
+        a >>= twos
+        if twos & 1 and (n & 7) in (3, 5):
+            result = -result
         a, n = n, a
-        if a % 4 == 3 and n % 4 == 3:
+        if a & n & 2:  # both 3 (mod 4)
             result = -result
         a %= n
     return result if n == 1 else 0
@@ -162,11 +163,12 @@ class Factorization:
 
 
 # Bound of every per-group cache, least recently used evicted first: valid
-# groups here, lift profiles, lemma-2 reports, order-q subgroups, baby-step
-# tables and factor-base logs. 64 holds a base for each of the 23 groups the
-# experiment sampler draws from (safe-prime q in [5, 499]) with room for the
-# targets in flight; full at 1024 bits the groups take 28 kB, the profiles
-# and reports 0.28 MB, the subgroups 37 kB (tracemalloc, CPython 3.11).
+# groups here, lift profiles, index powers, lemma-2 reports, order-q
+# subgroups, baby-step tables and factor-base logs. 64 holds a base for each
+# of the 23 groups the experiment sampler draws from (safe-prime q in [5, 499])
+# with room for the targets in flight; full at 1024 bits the groups take
+# 28 kB, the profiles and reports 0.28 MB, the index powers 21 kB, the
+# subgroups 37 kB (tracemalloc, CPython 3.11).
 _GROUPS = 64
 
 

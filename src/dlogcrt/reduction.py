@@ -11,7 +11,7 @@ from math import gcd
 
 from .arith import _pow_fixed, crt_pair
 from .errors import InvalidInstanceError, NoSolutionError
-from .lift import Lemma2Report, _lemma2, _linear_coefficients
+from .lift import Lemma2Report, _index_power, _lemma2, _linear_coefficients
 from .mcrt import LinearEquation, LinearSystem
 from .numtheory import _GROUPS, SafePrimeParams
 from .oracle import CyclicContext, dlog
@@ -43,7 +43,7 @@ class DlogInstance:
         if self.known_index is not None:
             if self.known_index < 0:
                 raise InvalidInstanceError("known index must be nonnegative")
-            if _pow_fixed(self.base, self.known_index, p) != self.target % p:
+            if _index_power(self.base, self.known_index, p) != self.target % p:
                 raise InvalidInstanceError(
                     f"base**{self.known_index} != target (mod {p})"
                 )

@@ -1,4 +1,5 @@
 import random
+import re
 from functools import cache
 from math import gcd
 
@@ -25,6 +26,7 @@ from dlogcrt.errors import (
     PreconditionError,
     ZeroDigitError,
 )
+from dlogcrt.lift import _lemma2
 from dlogcrt.quotients import _pow_m2
 
 from conftest import (
@@ -325,6 +327,12 @@ class TestCheckLemma1:
         with pytest.raises(PreconditionError):
             check_lemma1(golden, 2, 15, 2)
 
+    @pytest.mark.parametrize("a0", [23, 46, 23 * 12])
+    def test_rejects_a_negative_index_of_a_base_divisible_by_p(self, params23, a0):
+        # a0**-1 does not exist mod p; the check raises before any power
+        with pytest.raises(PreconditionError, match=rf"^a0 = {a0} is not a unit mod 23, so"):
+            check_lemma1(params23, a0, 1, -1)
+
 
 class TestCheckLemma2:
     def test_golden_corrected_holds_literal_fails(self, golden):
@@ -352,6 +360,15 @@ class TestCheckLemma2:
     def test_propagates_carry_errors(self, golden):
         with pytest.raises(Lemma1ViolationError, match=r"^a0\*\*n = 4 != b0 = 7 \(mod 11\)$"):
             check_lemma2(golden, 2, 7, 2)
+
+    def test_body_rejects_profiles_that_break_lemma_1(self, golden):
+        # _lemma2 trusts its caller for the premise mod p; given the profile
+        # of b0 = 3 where 2**2 = 4, its one power mod (pq)**2 shows lemma 1
+        # failing mod pq: 4**4 = 36 != 3**4 = 26 (mod 55)
+        prof_a, prof_b = lift_profile(golden, 2), lift_profile(golden, 3)
+        message = re.escape("a0**(n*(q-1)) = 36 != 26 (mod 55)")
+        with pytest.raises(Lemma1ViolationError, match=f"^{message}$"):
+            _lemma2(golden, prof_a, prof_b, 2)
 
     def test_off_by_one_target_digit_fails_the_corrected_flag(self, golden, monkeypatch):
         # b0's corrected digit one above its true value breaks the corrected

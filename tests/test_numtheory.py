@@ -15,15 +15,16 @@ from dlogcrt.errors import DegenerateModulusError, InvalidInputError
 from dlogcrt.lift import check_lemma2
 from dlogcrt.numtheory import (
     _MR_DETERMINISTIC_BOUND,
+    _jacobi,
     _mr_composite_witness,
     _strong_lucas_prp,
     is_prime_2q_plus_1,
 )
 from dlogcrt.quotients import lift_profile
-from sympy import isprime, nextprime
+from sympy import isprime, jacobi_symbol, nextprime
 from sympy.ntheory.primetest import is_strong_lucas_prp
 
-from conftest import KEPT_CACHES, PRIMES_1000, factorize, sieve
+from conftest import CRYPTO_GROUPS, KEPT_CACHES, PRIMES_1000, SAFE_QS, factorize, sieve
 
 # The strong Lucas pseudoprimes below 60000 (Selfridge method A parameters)
 STRONG_LUCAS_PSEUDOPRIMES = (
@@ -120,6 +121,30 @@ class TestIsPrime:
             n = (4**r + 1) // 5
             assert n >= _MR_DETERMINISTIC_BOUND and _passes_mr_base_2(n), r
             assert not is_prime(n), r
+
+
+class TestJacobi:
+    def test_matches_sympy(self):
+        # odd n of 1 to 600 bits; a below -n, in [0, n) and above n, and the
+        # multiples of n, whose symbol is 0 unless n = 1
+        rng = random.Random(9)
+        for bits in list(range(1, 17)) + [rng.randrange(17, 601) for _ in range(200)]:
+            n = rng.getrandbits(bits) | 1 | 1 << (bits - 1)
+            for a in (0, n, -n, 3 * n, rng.randrange(-4 * n, 4 * n), -rng.randrange(1, n + 1)):
+                assert _jacobi(a, n) == jacobi_symbol(a, n), (a, n)
+        for n in range(1, 200, 2):
+            for a in range(-2 * n, 2 * n + 1):
+                assert _jacobi(a, n) == jacobi_symbol(a, n), (a, n)
+
+    @pytest.mark.parametrize("pq", [(2 * q + 1, q) for q in SAFE_QS] + CRYPTO_GROUPS)
+    def test_euler_criterion_gives_the_q_minus_1_power(self, pq):
+        # check_lemma1's route for p = 2q + 1: b**(q-1) = (b/p) * b**-1 (mod p)
+        # for every b in [1, p) of a SAFE_QS group, 200 random b at 256-1024 bits
+        p, q = pq
+        rng = random.Random(q)
+        bs = range(1, p) if p < 1000 else [rng.randrange(1, p) for _ in range(200)]
+        for b in bs:
+            assert pow(b, q - 1, p) == _jacobi(b, p) * pow(b, -1, p) % p, (p, b)
 
 
 class TestFactorization:

@@ -153,8 +153,10 @@ def test_reduction_at_cryptographic_size(pq):
 def test_checked_reduction_shares_one_derivation(monkeypatch, capsys):
     """transform, check_lemma1, check_lemma2 and carry_beta_pq on one fresh
     256-bit instance derive the two lift profiles and the index power once;
-    a second target of the group derives only its own profile. Each
-    reduction builds its own SafePrimeParams, and only the first tests q.
+    a second target of the group derives only its own profile. The premise
+    a0**n mod p of DlogInstance, check_lemma1 and check_lemma2 is one kept
+    miss and two hits, once per index. Each reduction builds its own
+    SafePrimeParams, and only the first tests q.
     The first builds the group's 2 fixed-base power tables (a0 mod p, s_a
     mod p**2), the second none; an experiment run, whose p has at most 10
     bits (p**2 at most 20), builds none either."""
@@ -180,13 +182,17 @@ def test_checked_reduction_shares_one_derivation(monkeypatch, capsys):
         assert check_lemma2(params, a0, b0, n).corrected_ok
         carry_beta_pq(params, a0, b0, n)
 
-    def misses():
-        return quotients.lift_profile.cache_info().misses, arith._powers.cache_info().misses
+    def counts():
+        return (
+            quotients.lift_profile.cache_info().misses,
+            arith._powers.cache_info().misses,
+            lift._kept_index_power.cache_info()[:2],  # (hits, misses)
+        )
 
     check_reduction(2**200 + 12345)
-    assert (calls, misses()) == ({"is_prime": 1, "_pow_m2": 1}, (2, 2))
+    assert (calls, counts()) == ({"is_prime": 1, "_pow_m2": 1}, (2, 2, (2, 1)))
     check_reduction(2**200 + 12346)
-    assert (calls, misses()) == ({"is_prime": 1, "_pow_m2": 2}, (3, 2))
+    assert (calls, counts()) == ({"is_prime": 1, "_pow_m2": 2}, (3, 2, (4, 2)))
     assert cli.main(["experiment", "--count", "50", "--seed", "1"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 50
     for g, m in ((a0, p), (pow(a0, q - 1, p * p), p * p)):
